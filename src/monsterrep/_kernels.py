@@ -1,12 +1,12 @@
-"""JIT kernel selection.
+"""Signed lane gathers between packed vectors.
 
-The hot inner loops (signed lane gathers between packed vectors) are
-compiled with numba when it is available.  Setting the environment
-variable ``MONSTERREP_JIT=0`` before import forces the pure-numpy
-fallback; ``set_jit`` toggles it at runtime (used by the benchmark to
-time both paths).
+A ``GatherTable`` holds a signed lane map in pull form (see the class);
+``gather_signed`` applies it with one vectorized step per slot.  The
+loop is compiled with numba when it is available.  Setting the
+environment variable ``MONSTERREP_JIT=0`` before import forces the
+pure-numpy fallback; ``set_jit`` toggles it at runtime (used by the
+benchmark to time both paths).
 """
-
 import os
 
 import numpy as np
@@ -42,61 +42,69 @@ def set_jit(enabled: bool) -> bool:
 
 
 @njit(cache=True)
-def _gather_signed_njit(dst, src, dst_word, dst_shift, src_word, src_shift,
-                        neg, lane_mask):
-    for t in range(dst_word.shape[0]):
-        v = (src[src_word[t]] >> src_shift[t]) & lane_mask
-        v ^= neg[t]
-        dst[dst_word[t]] |= v << dst_shift[t]
+def _gather_signed_njit(dst, src, start, src_word, src_shift, neg, lane_mask, k):
+    lanes, n = src_word.shape
+    for w in range(n):
+        acc = np.uint64(0)
+        for s in range(lanes):
+            v = ((src[src_word[s, w]] >> src_shift[s, w]) & lane_mask) ^ neg[s, w]
+            acc |= v << np.uint64(s * k)
+        dst[start + w] = acc
 
 
-def _gather_signed_np(dst, src, dst_word, dst_shift, src_word, src_shift,
-                      neg, lane_mask, slot_starts, k):
-    # Entries are pre-sorted by destination slot; one vector op per slot.
-    for s in range(len(slot_starts) - 1):
-        lo, hi = slot_starts[s], slot_starts[s + 1]
-        if lo == hi:
-            continue
-        v = (src[src_word[lo:hi]] >> src_shift[lo:hi]) & lane_mask
-        v ^= neg[lo:hi]
-        dst[dst_word[lo:hi]] |= v << np.uint64(s * k)
+def _gather_signed_np(dst, src, start, src_word, src_shift, neg, lane_mask, k):
+    seg = dst[start:start + src_word.shape[1]]
+    seg[:] = 0
+    v = np.empty_like(seg)
+    for s in range(len(src_word)):
+        np.take(src, src_word[s], out=v)
+        v >>= src_shift[s]
+        v &= lane_mask
+        v ^= neg[s]
+        v <<= np.uint64(s * k)
+        seg |= v
 
 
 def gather_signed(dst, src, table, lane_mask, k):
-    """dst_lane |= +-src_lane per the precomputed signed-permutation table.
-
-    Destination lanes must be zero beforehand.  ``table`` is a GatherTable;
-    its entries are sorted by destination slot so the numpy fallback can
-    run one vectorized pass per slot.
-    """
-    if _USE_JIT:
-        _gather_signed_njit(dst, src, table.dst_word, table.dst_shift,
-                            table.src_word, table.src_shift, table.neg,
-                            np.uint64(lane_mask))
-    else:
-        _gather_signed_np(dst, src, table.dst_word, table.dst_shift,
-                          table.src_word, table.src_shift, table.neg,
-                          np.uint64(lane_mask), table.slot_starts, k)
+    """dst_lane = +-src_lane for every lane of the table's destination
+    words, per the precomputed pull table (a GatherTable)."""
+    (_gather_signed_njit if _USE_JIT else _gather_signed_np)(
+        dst, src, table.start, table.src_word, table.src_shift, table.neg,
+        np.uint64(lane_mask), k)
 
 
 class GatherTable:
-    """A signed lane permutation in packed address form."""
+    """A signed lane map in pull form over destination words start ..
+    start + words: the source word, source bit shift and sign mask (0 or
+    p) of every destination lane, pad lanes included.  The arrays are
+    slot-major, shape (lanes, words), a slot being a lane position within
+    a word; the constructor takes them flattened."""
 
-    __slots__ = ("dst_word", "dst_shift", "src_word", "src_shift", "neg",
-                 "slot_starts")
+    __slots__ = ("src_word", "src_shift", "neg", "start")
 
-    def __init__(self, dst_lane, src_lane, sign, lanes_per_word, k, p):
-        dst_lane = np.asarray(dst_lane, dtype=np.int64)
-        src_lane = np.asarray(src_lane, dtype=np.int64)
-        sign = np.asarray(sign, dtype=np.uint64)
-        slot = dst_lane % lanes_per_word
-        order = np.argsort(slot, kind="stable")
-        dst_lane, src_lane = dst_lane[order], src_lane[order]
-        slot = slot[order]
-        self.dst_word = (dst_lane // lanes_per_word).astype(np.int64)
-        self.dst_shift = (slot * k).astype(np.uint64)
-        self.src_word = (src_lane // lanes_per_word).astype(np.int64)
-        self.src_shift = ((src_lane % lanes_per_word) * k).astype(np.uint64)
-        self.neg = sign[order] * np.uint64(p)
-        counts = np.bincount(slot, minlength=lanes_per_word)
-        self.slot_starts = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    def __init__(self, src_word, src_shift, neg, lanes, start=0):
+        self.src_word = np.asarray(src_word, dtype=np.int64).reshape(lanes, -1)
+        self.src_shift = np.asarray(src_shift, dtype=np.uint8).reshape(lanes, -1)
+        self.neg = np.asarray(neg, dtype=np.uint8).reshape(lanes, -1)
+        self.start = start
+
+    @property
+    def dst_word(self):
+        """Destination word of every entry, in entry order."""
+        lanes, n = self.src_word.shape
+        return np.tile(np.arange(self.start, self.start + n), lanes)
+
+
+def pull_table(dst_lane, src_lane, sign, m, start, stop, fill=None):
+    """GatherTable over destination words start..stop from push lists:
+    destination lane dst_lane[i] takes source lane src_lane[i], negated
+    where sign[i] is 1.  The other lanes take source lane ``fill``, or
+    themselves when it is None.  ``m`` is the Modulus."""
+    L = m.lanes
+    pull = np.arange(start * L, stop * L) if fill is None else np.full((stop - start) * L, fill)
+    sgn = np.zeros(len(pull), dtype=np.int64)
+    pull[dst_lane - start * L] = src_lane
+    sgn[dst_lane - start * L] = sign
+    word, slot = np.divmod(pull.reshape(-1, L).T, L)
+    return GatherTable(word.ravel(), (slot * m.k).ravel(),
+                       ((sgn.reshape(-1, L).T & 1) * m.p).ravel(), L, start)

@@ -20,8 +20,9 @@ with A as diagonal-then-pairs, T octad-major and X/Z/Y class-major.
 Generator words act through four kernel families:
 
 * monomial atoms (x_e / y_e / z_e and automorphism atoms) become one
-  signed lane permutation over T/X/Z/Y plus closed-form sign/swap rules
-  on the small blocks;
+  signed lane permutation of the whole vector, A taken as 576 lanes,
+  held as a pull table (``_kernels.GatherTable``) that is built from the
+  block structure and applied by one gather;
 * the triality generator mixes (A_ij, B_ij, C_ij) by a 3x3 matrix with
   halving, rotates X -> Y -> Z -> X with sign masks, and runs six
   butterfly layers per octad on T;
@@ -38,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _rng, aut_pl, golay, modp_core, qx_leech
-from ._kernels import GatherTable, gather_signed
+from ._kernels import GatherTable, gather_signed, pull_table
 from .aut_pl import StdAutomorphism
 from .golay import CocodeElement, EXPAND
 from .modp_core import Modulus, modulus
@@ -133,6 +134,10 @@ class Layout:
         self.word_of = log // L
         self.shift_of = ((log % L) * m.k).astype(np.uint64)
 
+        used = np.zeros(self.n_words * L, dtype=bool)
+        used[log] = used[self._mirror] = True
+        self.pad_lane = np.flatnonzero(~used)
+
     def extract(self, buf, lanes):
         L, k = self.m.lanes, self.m.k
         lanes = np.asarray(lanes)
@@ -143,16 +148,9 @@ class Layout:
 
     def inject(self, buf, lanes, vals):
         """Write values into lanes (lanes must currently be zero)."""
-        L, k = self.m.lanes, self.m.k
-        lanes = np.asarray(lanes).ravel()
-        order = np.argsort(lanes % L, kind="stable")
-        lanes = lanes[order]
-        v = np.asarray(vals, dtype=np.uint64).ravel()[order]
-        slots = lanes % L
-        for s in range(L):
-            sel = slots == s
-            if sel.any():
-                buf[lanes[sel] // L] |= v[sel] << np.uint64(s * k)
+        word, slot = np.divmod(np.asarray(lanes).ravel(), self.m.lanes)
+        np.bitwise_or.at(buf, word, np.asarray(vals, dtype=np.uint64).ravel()
+                         << (slot * self.m.k).astype(np.uint64))
 
 
 @lru_cache(maxsize=8)
@@ -252,6 +250,25 @@ def equal(a: MmVector, b: MmVector) -> bool:
     return a == b
 
 
+def check_vector(v: MmVector) -> None:
+    """Raise ValueError unless v satisfies the storage invariants: a valid
+    modulus and buffer size, a symmetric A block, pad lanes holding 0 or
+    the alias p, and no bits set above the last lane of a word."""
+    m = modulus(v.mod.p)
+    lay = layout(m.p)
+    if v.mod != m or v.buf.dtype != np.uint64 or v.buf.shape != (lay.n_words,):
+        raise ValueError(f"a p={m.p} vector is {lay.n_words} uint64 words")
+    A = lay.extract(v.buf, lay.lane_A).reshape(24, 24)
+    if not np.array_equal(A, A.T):
+        raise ValueError("A block is not symmetric")
+    pl = lay.pad_lane
+    pad = (v.buf[pl // m.lanes] >> (pl % m.lanes * m.k).astype(np.uint64)) & np.uint64(m.p)
+    if np.any((pad != 0) & (pad != m.p)):
+        raise ValueError(f"pad lane {pl[(pad != 0) & (pad != m.p)][0]} is not 0 or {m.p}")
+    if np.any(v.buf & np.uint64(~m.all_lanes & (2**64 - 1))):
+        raise ValueError("bits above the last lane of a word are set")
+
+
 NORM_WEIGHT = np.ones(DIM, dtype=np.int64)
 NORM_WEIGHT[24:300] = 2
 
@@ -295,14 +312,6 @@ def _get_smalls(v: MmVector):
     B = lay.extract(v.buf, lay.lane_B)
     C = lay.extract(v.buf, lay.lane_C)
     return A, B, C
-
-
-def _put_smalls(out: MmVector, A, B, C):
-    lay = out.layout()
-    p = out.p
-    lay.inject(out.buf, lay.lane_A, np.asarray(A, dtype=np.int64).ravel() % p)
-    lay.inject(out.buf, lay.lane_B, np.asarray(B, dtype=np.int64) % p)
-    lay.inject(out.buf, lay.lane_C, np.asarray(C, dtype=np.int64) % p)
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +371,12 @@ def _xyz_maps(tag: str, e13: int):
               & 1).astype(np.int64)
     c_oe = ((np.bitwise_count(golay.OCTAD_MASKS & np.uint32(emask)) >> 1) & 1).astype(np.int64)
     if tag == "x":
-        t_img_o, t_img_t = o + 0 * t, t + 0 * o
-        t_sgn = c_oe[:, None] ^ pair_e
+        t_img_t, t_sgn = t, c_oe[:, None] ^ pair_e
     else:
         to = golay.suboctad_of_mask_vec(
             np.arange(759), golay.OCTAD_MASKS.astype(np.int64) & emask)
-        t_img_o = o + 0 * t
         t_img_t = t ^ to[:, None]
-        t_sgn = pair_e if tag == "y" else np.broadcast_to(c_oe[:, None], (759, 64)).copy()
+        t_sgn = pair_e if tag == "y" else c_oe[:, None]
 
     # row maps on the 2048 code classes
     c0 = _CLASS_COORDS
@@ -383,6 +390,14 @@ def _xyz_maps(tag: str, e13: int):
 
     colsel = ((emask >> np.arange(24)) & 1).astype(np.int64)
     zero24 = np.zeros(24, dtype=np.int64)
+
+    # B/C (index n of B, 276 + n of C): x_e negates the pairs split by e;
+    # y_e and z_e also swap B and C on those pairs, y_e with a sign
+    flip = colsel[_PAIR_I] ^ colsel[_PAIR_J]
+    n = np.arange(276)
+    bc_img = (np.arange(552) if tag == "x"
+              else np.concatenate((n + 276 * flip, n + 276 * (1 - flip))))
+    bc_sgn = np.tile(flip * (tag != "z"), 2)
 
     if tag == "x":
         xmap = (chi_id, c_ce_c0, colsel)                        # X
@@ -398,12 +413,12 @@ def _xyz_maps(tag: str, e13: int):
         ymap = ("Y", chi_xor, se ^ th_c0_ce ^ bflip, colsel)    # (d e)^-
 
     return dict(
-        t_img_o=np.broadcast_to(t_img_o, (759, 64)),
-        t_img_t=np.broadcast_to(t_img_t, (759, 64)),
-        t_sgn=np.broadcast_to(t_sgn, (759, 64)),
+        t_img_o=o, t_img_t=t_img_t, t_sgn=t_sgn,              # broadcast to 759 x 64
         x_row=(xmap[0], xmap[1]), x_col=(np.arange(24), xmap[2]),
         z_dst=zmap[0], z_row=(zmap[1], zmap[2]), z_col=(np.arange(24), zmap[3]),
         y_dst=ymap[0], y_row=(ymap[1], ymap[2]), y_col=(np.arange(24), ymap[3]),
+        a=(np.arange(24), zero24 if tag == "x" else colsel),    # A -> s A s
+        bc=(bc_img, bc_sgn), x_par=0,
     )
 
 
@@ -419,7 +434,6 @@ def _pi_maps(pi: StdAutomorphism):
     t_img_t = golay.suboctad_of_mask_vec(
         np.repeat(oct_img, 64), rep_img.astype(np.int64)).reshape(759, 64)
     oct_sign = (aut_pl.apply_value_vec(pi, golay.OCTAD_COORDS.astype(np.int64)) >> 12) & 1
-    t_img_o = np.broadcast_to(oct_img[:, None], (759, 64))
     # the suboctad label carries Omega^{|delta|/2}, and Omega -> -Omega when
     # the automorphism is odd
     t_sgn = oct_sign[:, None] ^ (par * _SUB_N64)[None, :]
@@ -429,16 +443,17 @@ def _pi_maps(pi: StdAutomorphism):
     wc0, bflip = _canon(wc)
     chi_img = coords_to_class(wc0)
 
-    m_lane = (_CLASS_P[:, None]
-              ^ ((_CLASS_MASKS[:, None] >> np.arange(24)[None, :]) & 1)).astype(np.int64)
-    zero = np.zeros((2048, 24), dtype=np.int64)
+    pair_img = qx_leech._PAIR_IDX[img24[_PAIR_I], img24[_PAIR_J]].astype(np.int64)
+    zero24 = np.zeros(24, dtype=np.int64)
 
     maps = dict(
-        t_img_o=np.broadcast_to(t_img_o, (759, 64)),
-        t_img_t=t_img_t, t_sgn=np.broadcast_to(t_sgn, (759, 64)),
-        x_row=(chi_img, ws), x_col=(img24, np.zeros(24, dtype=np.int64)),
-        x_lane=(m_lane if par else zero),
-        par=par,
+        t_img_o=oct_img[:, None], t_img_t=t_img_t, t_sgn=t_sgn,
+        x_row=(chi_img, ws), x_col=(img24, zero24),
+        # odd automorphisms also sign X lane (d, i) by P(d) + <d, i>
+        x_par=par,
+        a=(img24, zero24),
+        bc=(np.concatenate((pair_img, 276 + pair_img)),
+            np.repeat([0, par], 276)),                  # C negated when odd
     )
     if par == 0:
         maps["z_dst"], maps["z_row"] = "Z", (chi_img, ws)
@@ -446,14 +461,73 @@ def _pi_maps(pi: StdAutomorphism):
     else:
         maps["z_dst"], maps["z_row"] = "Y", (chi_img, ws ^ bflip)
         maps["y_dst"], maps["y_row"] = "Z", (chi_img, ws)
-    maps["z_col"] = maps["y_col"] = (img24, np.zeros(24, dtype=np.int64))
+    maps["z_col"] = maps["y_col"] = (img24, zero24)
     return maps
+
+
+def _mono_table(lay: Layout, maps) -> GatherTable:
+    """Pull table of a monomial atom over the whole vector."""
+    L, k, p, n = lay.m.lanes, lay.m.k, lay.m.p, lay.n_words
+    sw = np.empty((L, n), dtype=np.int64)
+    sh = np.empty((L, n), dtype=np.uint8)
+    ng = np.zeros((L, n), dtype=np.uint8)
+
+    # A/B/C/T: start from the identity, so pad lanes pull from themselves,
+    # then scatter each source (word, slot) to the slot-major position
+    # slot * n + word of its image.  Octad o sits in slot o % L of word
+    # o // L of every suboctad plane.
+    sw[:, :lay.wX] = np.arange(lay.wX)
+    sh[:, :lay.wX] = (np.arange(L) * k)[:, None]
+    (a_img, a_sgn), (bc_img, bc_sgn) = maps["a"], maps["bc"]
+    bc = np.concatenate((lay.lane_B, lay.lane_C))
+    oq, osl = np.divmod(np.arange(759), L)
+    o_img, plane = maps["t_img_o"], lay.wT + np.arange(64) * lay.WT
+    for (dw, ds), (w, s), sg in (
+            (np.divmod(24 * a_img[:, None] + a_img, L), np.divmod(lay.lane_A.reshape(24, 24), L),
+             a_sgn[:, None] ^ a_sgn),
+            (np.divmod(bc[bc_img], L), np.divmod(bc, L), bc_sgn),
+            ((plane[maps["t_img_t"]] + oq[o_img], osl[o_img]), (plane + oq[:, None], osl[:, None]),
+             maps["t_sgn"])):
+        pos = ds * n + dw
+        sw.ravel()[pos] = w
+        sh.ravel()[pos] = s * k
+        ng.ravel()[pos] = (sg & 1) * p
+
+    # X/Z/Y: invert the row and column maps; the source word, shift and
+    # sign are outer sums over (slot, point, word in the plane).  Row chi
+    # of a plane sits in slot chi % L of word chi // L; pad rows pull from
+    # themselves with sign 0.
+    WX = lay.WX
+    chi = np.arange(WX * L).reshape(WX, L).T
+    real = chi < 2048
+    base = {"X": lay.wX, "Z": lay.wZ, "Y": lay.wY}
+    for blk, dname, (rimg, rsgn), (cimg, csgn) in (
+            ("X", "X", maps["x_row"], maps["x_col"]),
+            ("Z", maps["z_dst"], maps["z_row"], maps["z_col"]),
+            ("Y", maps["y_dst"], maps["y_row"], maps["y_col"])):
+        rinv, cinv = np.empty(2048, dtype=np.int64), np.empty(24, dtype=np.int64)
+        rinv[rimg], cinv[cimg] = np.arange(2048), np.arange(24)
+        rr = rinv[chi * real]
+        word, slot = np.divmod(np.where(real, rr, chi), L)
+        view = np.s_[:, base[dname]:base[dname] + 24 * WX]
+        np.add((base[blk] + cinv * WX)[:, None], word[:, None, :],
+               out=sw[view].reshape(L, 24, WX))
+        sh[view].reshape(L, 24, WX)[...] = (slot * k).astype(np.uint8)[:, None, :]
+        neg = ng[view].reshape(L, 24, WX)
+        np.bitwise_xor(((rsgn[rr] & real) * p).astype(np.uint8)[:, None, :],
+                       ((csgn[cinv] & 1) * p).astype(np.uint8)[:, None], out=neg)
+        if blk == "X" and maps["x_par"]:
+            # odd automorphisms also sign X lane (d, i) by P(d) + <d, i>
+            neg ^= ((_CLASS_P[rr][:, None, :] ^ (_CLASS_MASKS[rr][:, None, :] >> cinv[:, None]))
+                    & 1).astype(np.uint8) * np.uint8(p)
+        neg &= (real * p).astype(np.uint8)[:, None, :]
+    return GatherTable(sw.ravel(), sh.ravel(), ng.ravel(), L)
 
 
 _MONO_CACHE = {}
 
 
-def _monomial_gather(p: int, at: GeneratorAtom) -> tuple:
+def _monomial_gather(p: int, at: GeneratorAtom) -> GatherTable:
     key = (p, at.key())
     hit = _MONO_CACHE.get(key)
     if hit is not None:
@@ -465,85 +539,16 @@ def _monomial_gather(p: int, at: GeneratorAtom) -> tuple:
     else:
         maps = _pi_maps(StdAutomorphism(CocodeElement(at.payload),
                                         aut_pl.IDENTITY_PERM))
-    lay = layout(p)
-
-    src, dst, sgn = [], [], []
-    src.append(lay.lane_T.ravel())
-    dst.append(lay.lane_T[maps["t_img_o"].ravel(), maps["t_img_t"].ravel()])
-    sgn.append(maps["t_sgn"].ravel())
-
-    lane_of = {"X": lay.lane_X, "Z": lay.lane_Z, "Y": lay.lane_Y}
-    xl = maps.get("x_lane")
-    for blk, dstname, (rimg, rsgn), (cimg, csgn), lane_extra in (
-            ("X", "X", maps["x_row"], maps["x_col"], xl),
-            ("Z", maps["z_dst"], maps["z_row"], maps["z_col"], None),
-            ("Y", maps["y_dst"], maps["y_row"], maps["y_col"], None)):
-        src.append(lane_of[blk].ravel())
-        dst.append(lane_of[dstname][np.broadcast_to(np.asarray(rimg)[:, None], (2048, 24)).ravel(),
-                                    np.broadcast_to(np.asarray(cimg)[None, :], (2048, 24)).ravel()])
-        s = (np.asarray(rsgn).reshape(-1, 1) ^ np.asarray(csgn).reshape(1, -1))
-        s = np.broadcast_to(s, (2048, 24))
-        if lane_extra is not None:
-            s = s ^ lane_extra
-        sgn.append(s.ravel())
-
-    table = GatherTable(np.concatenate(dst), np.concatenate(src),
-                        np.concatenate(sgn) & 1, lay.m.lanes, lay.m.k, lay.m.p)
-    small = _small_mono(at, maps)
+    table = _mono_table(layout(p), maps)
     if len(_MONO_CACHE) > 128:
         _MONO_CACHE.clear()
-    _MONO_CACHE[key] = (table, small)
-    return table, small
-
-
-def _small_mono(at: GeneratorAtom, maps):
-    """Closed-form A/B/C transform for a monomial atom."""
-    if at.tag in ("x", "y", "z"):
-        emask = int(EXPAND[at.payload & 0xFFF])
-        sgn24 = ((emask >> np.arange(24)) & 1).astype(np.int64)
-        pairflip = (sgn24[_PAIR_I] ^ sgn24[_PAIR_J]).astype(bool)
-
-        def f(A, B, C, p, tag=at.tag):
-            if tag == "x":
-                A2 = A
-            else:
-                s = 1 - 2 * sgn24
-                A2 = (s[:, None] * A * s[None, :]) % p
-            if tag == "x":
-                B2 = np.where(pairflip, (-B) % p, B)
-                C2 = np.where(pairflip, (-C) % p, C)
-            elif tag == "y":
-                B2 = np.where(pairflip, (-C) % p, B)
-                C2 = np.where(pairflip, (-B) % p, C)
-            else:
-                B2 = np.where(pairflip, C, B)
-                C2 = np.where(pairflip, B, C)
-            return A2, B2, C2
-        return f
-
-    pi = at.payload if at.tag == "p" else StdAutomorphism(
-        CocodeElement(at.payload), aut_pl.IDENTITY_PERM)
-    img = np.array(pi.perm.images, dtype=np.int64)
-    par = maps["par"]
-    pair_img = qx_leech._PAIR_IDX[img[_PAIR_I], img[_PAIR_J]]
-
-    def f(A, B, C, p):
-        A2 = np.zeros_like(A)
-        A2[img[:, None], img[None, :]] = A
-        B2 = np.zeros_like(B)
-        B2[pair_img] = B
-        C2 = np.zeros_like(C)
-        C2[pair_img] = (-C) % p if par else C
-        return A2, B2, C2
-    return f
+    _MONO_CACHE[key] = table
+    return table
 
 
 def _apply_monomial(v: MmVector, at: GeneratorAtom) -> MmVector:
-    table, small = _monomial_gather(v.p, at)
-    out = new_zero(v.p)
-    gather_signed(out.buf, v.buf, table, v.mod.p, v.mod.k)
-    A, B, C = _get_smalls(v)
-    _put_smalls(out, *small(A, B, C, v.p))
+    out = MmVector(v.mod, np.empty_like(v.buf))
+    gather_signed(out.buf, v.buf, _monomial_gather(v.p, at), v.mod.p, v.mod.k)
     return out
 
 
@@ -586,7 +591,8 @@ def _tau_once(v: MmVector) -> MmVector:
     A2[_PAIR_I, _PAIR_J] = A2[_PAIR_J, _PAIR_I] = s
     B2 = (a + d) % p
     C2 = (-a + d) % p
-    _put_smalls(out, A2, B2, C2)
+    for lanes, vals in ((lay.lane_A, A2), (lay.lane_B, B2), (lay.lane_C, C2)):
+        lay.inject(out.buf, lanes, vals)
 
     # T: y_tau (six butterfly layers, three halved, parity reindex), then x_tau
     T = v.buf[lay.wT:lay.wX].reshape(64, lay.WT)
@@ -665,17 +671,6 @@ _W2_5 = np.array([golay.W2_TABLE[int(b)] for b in
                   np.bitwise_count(_D16_PAT.astype(np.uint64))], dtype=np.int64)
 
 
-@lru_cache(maxsize=4)
-def _xi_sgn16(e: int):
-    inter = (np.bitwise_count((_D16_PAT[:, None] & _D16_PAT[None, :]).astype(np.uint64))
-             & 1).astype(np.int64)
-    if e == 1:
-        sg = inter ^ _W2_5[None, :] ^ 1          # [d, e] with column twist w2(e)+1
-    else:
-        sg = inter ^ _W2_5[:, None] ^ 1          # row twist w2(d)+1
-    return 1 - 2 * sg                            # +-1 matrix, index [d_src, e_dst]
-
-
 # The 16-point kernel factors through a plain Walsh-Hadamard transform:
 # the pairing of even 5-bit grey patterns in 4 free coordinates is
 # <m, m'> + par(m) par(m'), i.e. the form I+J, and (I+J)^2 = I, so the
@@ -718,18 +713,17 @@ def _xi_98280_tables(p: int):
         img = qx_leech.conj_by_xi_vec(SHORT_VALUES, e)
         idx, sgn, ok = qx_leech.short_index_vec(img)
         assert ok.all()
-        out.append(GatherTable(lay.short_lane[idx], lay.short_lane,
-                               sgn, lay.m.lanes, lay.m.k, lay.m.p))
+        out.append(pull_table(lay.short_lane[idx], lay.short_lane, sgn, lay.m,
+                              lay.wB, lay.wZ))
     return out
 
 
 @lru_cache(maxsize=8)
 def _xi_4096_gather(p: int):
     """Lane correspondence between Z/Y storage and the grey-frame basis
-    tensor (group, dG, point, coloured index)."""
+    tensor (group, dG, point, coloured index), forward and backward."""
     lay = layout(p)
     g = np.arange(4)[:, None, None, None]
-    d = np.arange(16)[None, :, None, None]
     i = np.arange(24)[None, None, :, None]
     h = np.arange(64)[None, None, None, :]
     sig, kap = g >> 1, g & 1
@@ -738,14 +732,15 @@ def _xi_4096_gather(p: int):
     chi = coords_to_class(c0)
     lane_vec = np.where(sig == 0,
                         lay.lane_Z[chi, i + 0 * g],
-                        lay.lane_Y[chi, i + 0 * g])
-    sign = np.broadcast_to((sig * b) & 1, lane_vec.shape)
-    tmp = np.broadcast_to(lay.lane_TMP[:, :, :, :], lane_vec.shape)
-    fwd = GatherTable(tmp.ravel(), lane_vec.ravel(), sign.ravel(),
-                      lay.m.lanes, lay.m.k, lay.m.p)
-    back = GatherTable(lane_vec.ravel(), tmp.ravel(), sign.ravel(),
-                       lay.m.lanes, lay.m.k, lay.m.p)
-    return fwd, back
+                        lay.lane_Y[chi, i + 0 * g]).ravel()
+    sign = np.broadcast_to((sig * b) & 1, (4, 16, 24, 64)).ravel()
+    tmp = lay.lane_TMP.ravel()
+    # L divides 64 exactly when it divides 2048, so the tensor rows and the
+    # Z/Y planes have pad lanes together; pads pull from a pad of the other
+    # side (lane 2048 of Z plane 0, lane 64 of tensor row 0), which is 0 or p
+    return (pull_table(tmp, lane_vec, sign, lay.m, 0, lay.tmp_words,
+                       fill=lay.wZ * lay.m.lanes + 2048),
+            pull_table(lane_vec, tmp, sign, lay.m, lay.wZ, lay.n_words, fill=64))
 
 
 def _xi_24_pass(block, m, e):
@@ -795,13 +790,10 @@ def apply_xi(v: MmVector, e: int) -> MmVector:
     else:
         W = modp_core.neg_words(W, m)
     tout = np.swapaxes(W, 0, 1)[np.argsort(gmap)]
-    zy = np.zeros(lay.n_words, dtype=np.uint64)
-    gather_signed(zy, np.ascontiguousarray(tout).ravel(), back, p, m.k)
+    gather_signed(out.buf, np.ascontiguousarray(tout).ravel(), back, p, m.k)
 
-    Z2 = _xi_24_pass(zy[lay.wZ:lay.wY].reshape(24, lay.WX), m, e)
-    Y2 = _xi_24_pass(zy[lay.wY:].reshape(24, lay.WX), m, e)
-    out.buf[lay.wZ:lay.wY] = Z2.ravel()
-    out.buf[lay.wY:] = Y2.ravel()
+    for lo, hi in ((lay.wZ, lay.wY), (lay.wY, lay.n_words)):
+        out.buf[lo:hi] = _xi_24_pass(out.buf[lo:hi].reshape(24, lay.WX), m, e).ravel()
     return out
 
 

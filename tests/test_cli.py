@@ -104,3 +104,22 @@ def test_bench_smoke(capsys):
     out = capsys.readouterr().out
     assert "0.73" in out and "1.35" in out
     assert "packed vs scalar" in out
+
+
+def test_python_dash_m_entry_point():
+    """``python -m monsterrep`` runs the CLI without runpy's warning."""
+    import os
+    import subprocess
+    import sys
+
+    import monsterrep
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(monsterrep.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                          "monsterrep", "info", "layout"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "total 196884" in res.stdout
+    assert "Warning" not in res.stderr

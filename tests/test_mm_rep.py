@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from monsterrep import aut_pl, golay, mm_rep as mr, parker_loop as pl, qx_leech as qx
+from monsterrep import _kernels, aut_pl, golay, mm_rep as mr, parker_loop as pl, qx_leech as qx
 from monsterrep import scalar_ref
 from monsterrep.mm_rep import GeneratorAtom as A
 
@@ -214,7 +214,13 @@ def test_basis4096_index_roundtrip():
     """The grey-frame basis lane correspondence is a signed bijection."""
     lay = mr.layout(7)
     fwd, back = mr._xi_4096_gather(7)
-    assert len(fwd.dst_word) == 4 * 16 * 24 * 64
+    # the forward table fills each of the 98304 real grey-frame lanes from a
+    # distinct Z/Y lane, and so reaches every Z/Y lane exactly once
+    L, k = lay.m.lanes, lay.m.k
+    src_lane = (fwd.src_word * L + fwd.src_shift // k).T.ravel()
+    zy_lanes = np.concatenate((lay.lane_Z.ravel(), lay.lane_Y.ravel()))
+    assert lay.lane_TMP.size == 4 * 16 * 24 * 64
+    assert np.array_equal(np.sort(src_lane[lay.lane_TMP.ravel()]), np.sort(zy_lanes))
     # forward followed by backward is the identity on Z/Y lanes
     v = mr.rand(7, 90)
     tmp = np.zeros(lay.tmp_words, dtype=np.uint64)
@@ -327,26 +333,138 @@ def _atom_inverse(at):
     if at.tag == "d":
         return at
     if at.tag == "p":
-        img = at.payload
-        q = aut_pl.from_perm(img.perm.inverse())
-        # solve diag so that compose(img, inverse) is the identity
-        comp = aut_pl.compose(img, q)
-        return A("p", aut_pl.StdAutomorphism(comp.diag, q.perm))
+        q = aut_pl.from_perm(at.payload.perm.inverse())
+        # compose(pi, q) is diagonal, and a diagonal automorphism is an
+        # involution, so pi^-1 = q * compose(pi, q)
+        return A("p", aut_pl.compose(q, aut_pl.compose(at.payload, q)))
     return A(at.tag, 3 - at.payload)
+
+
+def _random_atom(rng, tags):
+    tag = tags[rng.int(len(tags))]
+    if tag in "xyz":
+        return A(tag, rng.int(8192))
+    if tag == "d":
+        return A("d", rng.int(4096))
+    if tag == "p":
+        return A("p", aut_pl.random_automorphism(rng))
+    return A(tag, 1 + rng.int(2))
+
+
+def _apply_checked(v, word):
+    """apply_word, checking the storage invariants after every atom."""
+    for at in word:
+        v = mr.apply_atom(v, at)
+        mr.check_vector(v)
+    return v
 
 
 def test_random_word_inversion(rng):
     p = 15
     v = mr.rand(p, 77)
     for _ in range(5):
-        word = []
-        for _ in range(6):
-            tag = "xyzdtl"[rng.int(6)]
-            if tag in "xyz":
-                word.append(A(tag, rng.int(8192)))
-            elif tag == "d":
-                word.append(A("d", rng.int(4096)))
-            else:
-                word.append(A(tag, 1 + rng.int(2)))
+        word = [_random_atom(rng, "xyzdtl") for _ in range(6)]
         inverse = [_atom_inverse(at) for at in reversed(word)]
-        assert mr.apply_word(mr.apply_word(v, word), inverse) == v
+        assert _apply_checked(_apply_checked(v, word), inverse) == v
+
+
+@pytest.mark.parametrize("p", ALL_P)
+def test_random_word_invariants(p, rng):
+    """Every atom keeps A symmetric and pad lanes at 0 or the alias, at
+    every modulus, and the inverse word undoes the word."""
+    v = mr.rand(p, 78 + p)
+    mr.check_vector(v)
+    word = [_random_atom(rng, "xyzdptl") for _ in range(8)]
+    inverse = [_atom_inverse(at) for at in reversed(word)]
+    assert _apply_checked(_apply_checked(v, word), inverse) == v
+
+
+def test_check_vector_rejects():
+    p = 7
+    lay = mr.layout(p)
+    L, k = lay.m.lanes, lay.m.k
+    v = mr.rand(p, 79)
+    mr.check_vector(v)
+    bad = v.copy()
+    bad.buf[0] ^= np.uint64(1) << np.uint64(k)          # A[0, 1] only
+    with pytest.raises(ValueError, match="symmetric"):
+        mr.check_vector(bad)
+    lane = int(lay.pad_lane[0])
+    bad = v.copy()
+    bad.buf[lane // L] |= np.uint64(1) << np.uint64(lane % L * k)
+    with pytest.raises(ValueError, match="pad lane"):
+        mr.check_vector(bad)
+    bad = v.copy()
+    bad.buf[-1] |= np.uint64(1) << np.uint64(63)        # above the 21 lanes
+    with pytest.raises(ValueError, match="above the last lane"):
+        mr.check_vector(bad)
+    with pytest.raises(ValueError, match="uint64 words"):
+        mr.check_vector(mr.MmVector(v.mod, v.buf[:-1]))
+
+
+def _small_blocks(c, at, p):
+    """Closed-form action of a monomial atom on A/B/C, on the logical
+    coordinates 0:852.  x/y/z negate the pairs split by the payload's
+    codeword in B and C, y/z also swap B and C on them (y with a sign) and
+    conjugate A by the payload's sign diagonal; p/d permute A, B and C by
+    the coordinate permutation and negate C when the automorphism is odd."""
+    PI, PJ = qx._PAIR_I.astype(np.int64), qx._PAIR_J.astype(np.int64)
+    A = np.zeros((24, 24), dtype=np.int64)
+    A[np.arange(24), np.arange(24)] = c[:24]
+    A[PI, PJ] = A[PJ, PI] = c[24:300]
+    B, C = c[300:576], c[576:852]
+    if at.tag in "xyz":
+        sgn24 = (int(golay.EXPAND[at.payload & 0xFFF]) >> np.arange(24)) & 1
+        flip = (sgn24[PI] ^ sgn24[PJ]).astype(bool)
+        if at.tag != "x":
+            s = 1 - 2 * sgn24
+            A = s[:, None] * A * s[None, :] % p
+        if at.tag == "x":
+            B, C = np.where(flip, -B % p, B), np.where(flip, -C % p, C)
+        elif at.tag == "y":
+            B, C = np.where(flip, -C % p, B), np.where(flip, -B % p, C)
+        else:
+            B, C = np.where(flip, C, B), np.where(flip, B, C)
+    else:
+        pi = at.payload if at.tag == "p" else aut_pl.StdAutomorphism(
+            golay.CocodeElement(at.payload), aut_pl.IDENTITY_PERM)
+        img = np.array(pi.perm.images, dtype=np.int64)
+        pair_img = qx._PAIR_IDX[img[PI], img[PJ]]
+        A2, B2, C2 = np.zeros_like(A), np.zeros_like(B), np.zeros_like(C)
+        A2[img[:, None], img[None, :]] = A
+        B2[pair_img] = B
+        C2[pair_img] = -C % p if aut_pl.parity(pi) else C
+        A, B, C = A2, B2, C2
+    return np.concatenate((np.diag(A), A[PI, PJ], B, C))
+
+
+@pytest.mark.parametrize("p", [3, 7, 255])
+def test_small_blocks_closed_form(p, rng):
+    """Monomial atoms act on A/B/C as the closed-form sign/swap rules."""
+    v = mr.rand(p, 81 + p)
+    c = v.unpack()
+    for tag in "xyzdp":
+        for _ in range(3):
+            at = _random_atom(rng, tag)
+            got = mr.apply_atom(v, at).unpack()[:852]
+            assert np.array_equal(got, _small_blocks(c, at, p)), at
+
+
+def test_gather_kernel_body_matches_numpy():
+    """The loop kernel compiled by numba, run as plain Python, equals the
+    numpy gather on the xi table of B/C/T/X."""
+    p = 255
+    lay = mr.layout(p)
+    tab = mr._xi_98280_tables(p)[0]
+    v = mr.rand(p, 92)
+    args = (tab.start, tab.src_word, tab.src_shift, tab.neg, np.uint64(p), lay.m.k)
+    want = np.zeros(lay.n_words, dtype=np.uint64)
+    _kernels._gather_signed_np(want, v.buf, *args)
+    body = getattr(_kernels._gather_signed_njit, "py_func", _kernels._gather_signed_njit)
+    got = np.zeros(lay.n_words, dtype=np.uint64)
+    body(got, v.buf, *args)
+    assert np.array_equal(got, want)
+    if _kernels.HAVE_NUMBA:
+        got[:] = 0
+        _kernels._gather_signed_njit(got, v.buf, *args)
+        assert np.array_equal(got, want)
