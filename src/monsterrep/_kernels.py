@@ -2,18 +2,12 @@
 
 A ``GatherTable`` holds a signed lane map in pull form (see the class);
 ``gather_signed`` applies it with one vectorized step per slot.  The
-loop is compiled with numba when it is available.  Setting the
-environment variable ``MONSTERREP_JIT=0`` before import forces the
-pure-numpy fallback; ``set_jit`` toggles it at runtime (used by the
-benchmark to time both paths).
+loop is compiled with numba exactly when numba imports (the optional
+``jit`` extra); otherwise the pure-numpy version runs.
 """
-import os
-
 import numpy as np
 
 try:
-    if os.environ.get("MONSTERREP_JIT", "1") == "0":
-        raise ImportError
     from numba import njit
 
     HAVE_NUMBA = True
@@ -26,19 +20,8 @@ except ImportError:
         return wrap if not (args and callable(args[0])) else args[0]
 
 
-_USE_JIT = HAVE_NUMBA
-
-
 def jit_enabled() -> bool:
-    return _USE_JIT
-
-
-def set_jit(enabled: bool) -> bool:
-    """Enable/disable the numba path; returns the previous setting."""
-    global _USE_JIT
-    prev = _USE_JIT
-    _USE_JIT = bool(enabled) and HAVE_NUMBA
-    return prev
+    return HAVE_NUMBA
 
 
 @njit(cache=True)
@@ -68,7 +51,7 @@ def _gather_signed_np(dst, src, start, src_word, src_shift, neg, lane_mask, k):
 def gather_signed(dst, src, table, lane_mask, k):
     """dst_lane = +-src_lane for every lane of the table's destination
     words, per the precomputed pull table (a GatherTable)."""
-    (_gather_signed_njit if _USE_JIT else _gather_signed_np)(
+    (_gather_signed_njit if HAVE_NUMBA else _gather_signed_np)(
         dst, src, table.start, table.src_word, table.src_shift, table.neg,
         np.uint64(lane_mask), k)
 

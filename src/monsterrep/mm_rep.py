@@ -24,12 +24,13 @@ Generator words act through four kernel families:
   held as a pull table (``_kernels.GatherTable``) that is built from the
   block structure and applied by one gather;
 * the triality generator mixes (A_ij, B_ij, C_ij) by a 3x3 matrix with
-  halving, rotates X -> Y -> Z -> X with sign masks, and runs six
-  butterfly layers per octad on T;
+  halving, rotates X -> Y -> Z -> X with sign masks, and applies H_64 / 8
+  (``modp_core.hadamard_words``: six butterfly layers, three halved) to
+  the 64 suboctad planes of T;
 * the extra generator acts monomially on B/C/T/X through conjugation in
-  the extraspecial group, by 4x4 column blocks on A, and by a sign
-  twisted 16-point Hadamard transform tensored with the 24-coordinate
-  block matrix on Z/Y;
+  the extraspecial group, by 4x4 column blocks on A, and on Z/Y by
+  H_16 (x) H_4 = H_64 / 8, the same kernel, between two signed row
+  permutations of a grey-frame tensor;
 * everything else is composition.
 """
 
@@ -122,14 +123,16 @@ class Layout:
         sv[OFF_X:] = self.lane_X.ravel()
         self.short_lane = sv
 
-        # temp tensor for the 16-point transform: rows (group, dG, i)
+        # grey-frame tensor of xi, indexed (group, dG, i, h); its rows are
+        # stored in the order (dG, i % 4, group, i // 4), so that axis 0 of
+        # a (64, ...) view is dG * 4 + i % 4
         self.WH = m.words_for(64)
         self.tmp_words = 4 * 16 * 24 * self.WH
-        g4 = np.arange(4)
-        d16 = np.arange(16)
-        h64 = np.arange(64)
-        self.lane_TMP = (((g4[:, None, None, None] * 16 + d16[None, :, None, None]) * 24
-                          + i24[None, None, :, None]) * self.WH) * L + h64[None, None, None, :]
+        g4 = np.arange(4)[:, None, None, None]
+        d16 = np.arange(16)[None, :, None, None]
+        i4 = i24[None, None, :, None]
+        row = ((d16 * 4 + i4 % 4) * 4 + g4) * 6 + i4 // 4
+        self.lane_TMP = row * self.WH * L + np.arange(64)
 
         self.word_of = log // L
         self.shift_of = ((log % L) * m.k).astype(np.uint64)
@@ -217,9 +220,11 @@ def from_coords(p, vals) -> MmVector:
     vals = np.asarray(vals, dtype=np.int64)
     if vals.shape != (DIM,):
         raise ValueError(f"expected {DIM} coordinates")
-    if vals.min() < 0 or vals.max() >= p:
-        raise ValueError(f"coordinates must lie in 0..{p - 1}")
     lay = layout(p)
+    if vals.min() < 0 or vals.max() >= p:
+        bad = np.flatnonzero((vals < 0) | (vals >= p))[0]
+        raise ValueError(f"coordinate {bad} is {vals[bad]}; "
+                         f"coordinates must lie in 0..{p - 1}")
     v = new_zero(p)
     lay.inject(v.buf, lay.log_lane, vals)
     lay.inject(v.buf, lay._mirror, vals[24:300])
@@ -296,11 +301,9 @@ def read_vector(path) -> MmVector:
         data = fh.read()
     if data[:4] != MAGIC:
         raise ValueError("not an MMV1 vector file")
-    p = data[4]
-    n = int.from_bytes(data[5:9], "little")
-    if n != DIM or len(data) != 9 + DIM:
-        raise ValueError("corrupt MMV1 file")
-    return from_coords(p, np.frombuffer(data[9:], dtype=np.uint8).astype(np.int64))
+    if len(data) != 9 + DIM or int.from_bytes(data[5:9], "little") != DIM:
+        raise ValueError(f"corrupt MMV1 file: {len(data)} bytes, expected {9 + DIM}")
+    return from_coords(data[4], np.frombuffer(data[9:], dtype=np.uint8).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -594,18 +597,8 @@ def _tau_once(v: MmVector) -> MmVector:
     for lanes, vals in ((lay.lane_A, A2), (lay.lane_B, B2), (lay.lane_C, C2)):
         lay.inject(out.buf, lanes, vals)
 
-    # T: y_tau (six butterfly layers, three halved, parity reindex), then x_tau
-    T = v.buf[lay.wT:lay.wX].reshape(64, lay.WT)
-    W = T.copy()
-    for layer in range(6):
-        idx = np.arange(64)
-        lowsel = (idx >> layer) & 1 == 0
-        a_ = W[idx[lowsel]]
-        b_ = W[idx[lowsel] | (1 << layer)]
-        s_, d_ = modp_core.butterfly_words(a_, b_, m, scale_half=layer < 3)
-        W[idx[lowsel]] = s_
-        W[idx[lowsel] | (1 << layer)] = d_
-    W = W[reindex]
+    # T: y_tau (H_64 / 8 on the suboctad planes, parity reindex), then x_tau
+    W = modp_core.hadamard_words(v.buf[lay.wT:lay.wX].reshape(64, lay.WT).copy(), m)[reindex]
     W[n_t] = modp_core.neg_words(W[n_t], m)
     out.buf[lay.wT:lay.wX] = W.ravel()
 
@@ -674,23 +667,15 @@ _W2_5 = np.array([golay.W2_TABLE[int(b)] for b in
 # The 16-point kernel factors through a plain Walsh-Hadamard transform:
 # the pairing of even 5-bit grey patterns in 4 free coordinates is
 # <m, m'> + par(m) par(m'), i.e. the form I+J, and (I+J)^2 = I, so the
-# sign-twisted transform is WHT then the involutive reindex
-# m -> m ^ (par(m) * 15) plus row sign twists.
+# sign-twisted transform is H_16 / 4 then the involutive reindex
+# m -> m ^ (par(m) * 15) plus row sign twists.  The 24-point part is
+# c -> c @ (M / 2) on each group of four points, M = XI4_NUM[e - 1], and
+# XI4_NUM = (D P H_4, H_4 P D) with D = diag(-1, 1, 1, 1) and P the swap
+# of indices 1 and 2, which commutes with H_4.  So xi^e on Z/Y is
+# H_16 (x) H_4 = H_64 on axis (dG, i % 4) between signed row permutations.
 _PAR4 = (np.bitwise_count(np.arange(16, dtype=np.uint64)) & 1).astype(np.int64)
 _REIDX16 = np.arange(16) ^ (_PAR4 * 15)
-
-
-def _had16(block, m):
-    """(1/4) WHT_16 along axis 0 of a (16, ...) word array."""
-    W = block.copy()
-    idx = np.arange(16)
-    for layer in range(4):
-        low = idx[(idx >> layer) & 1 == 0]
-        s, d = modp_core.butterfly_words(W[low], W[low | 1 << layer], m,
-                                         scale_half=layer < 2)
-        W[low] = s
-        W[low | 1 << layer] = d
-    return W
+_SWAP12 = np.array([0, 2, 1, 3])
 
 
 def _xi_group_map(e: int):
@@ -743,19 +728,22 @@ def _xi_4096_gather(p: int):
             pull_table(lane_vec, tmp, sign, lay.m, lay.wZ, lay.n_words, fill=64))
 
 
-def _xi_24_pass(block, m, e):
-    """Column transform on 24 planes: plane row c -> c @ (M/2)."""
-    M = qx_leech.XI4_NUM[e - 1]
-    out = np.zeros_like(block)
-    for col in range(6):
-        planes = block[4 * col:4 * col + 4]
-        for mprime in range(4):
-            acc = None
-            for mm in range(4):
-                term = planes[mm] if M[mm, mprime] > 0 else modp_core.neg_words(planes[mm], m)
-                acc = term if acc is None else modp_core.add_words(acc, term, m)
-            out[4 * col + mprime] = modp_core.halve_words(acc, m)
-    return out
+@lru_cache(maxsize=16)
+def _xi_zy_steps(p: int, e: int):
+    """Sign masks before and after the H_64 / 8 of xi^e on the grey-frame
+    tensor, for its (64, ...) view with axis 0 = dG * 4 + i % 4, and the
+    row permutation in between, for its (256, ...) view with axis 0 =
+    (dG, i % 4, group)."""
+    neg = np.uint64(modulus(p).all_lanes)
+    dg, j = np.divmod(np.arange(64), 4)
+    if e == 1:      # D first; then (-1)^(w2(dG) + 1)
+        pre, post = j == 0, _W2_5[dg] == 0
+    else:           # (-1)^w2(dG) first; then -D
+        pre, post = _W2_5[dg] == 1, j != 0
+    perm = (_REIDX16[:, None, None] * 16 + _SWAP12[:, None] * 4
+            + np.argsort(_xi_group_map(e))).ravel()
+    return (np.where(pre, neg, 0).astype(np.uint64)[:, None], perm,
+            np.where(post, neg, 0).astype(np.uint64)[:, None])
 
 
 def apply_xi(v: MmVector, e: int) -> MmVector:
@@ -775,25 +763,17 @@ def apply_xi(v: MmVector, e: int) -> MmVector:
     table = _xi_98280_tables(p)[e - 1]
     gather_signed(out.buf, v.buf, table, p, m.k)
 
-    # Z/Y: 16-point transform over the grey frame, tensor the 24-part
+    # Z/Y: into the grey-frame tensor, H_64 / 8 between signed row
+    # permutations, and back
     fwd, back = _xi_4096_gather(p)
-    tmp = np.zeros(lay.tmp_words, dtype=np.uint64)
-    gather_signed(tmp, v.buf, fwd, p, m.k)
-    tmp4 = tmp.reshape(4, 16, 24 * lay.WH)
-    gmap = _xi_group_map(e)
-    if e == 2:                                   # row twist (-1)^{w2(d)} first
-        tmp4[:, _W2_5 == 1] = modp_core.neg_words(tmp4[:, _W2_5 == 1], m)
-    W = _had16(np.swapaxes(tmp4, 0, 1), m)       # (16, 4, ...)
-    W = W[_REIDX16]
-    if e == 1:                                   # column twist (-1)^{w2(e)+1}
-        W[_W2_5 == 0] = modp_core.neg_words(W[_W2_5 == 0], m)
-    else:
-        W = modp_core.neg_words(W, m)
-    tout = np.swapaxes(W, 0, 1)[np.argsort(gmap)]
-    gather_signed(out.buf, np.ascontiguousarray(tout).ravel(), back, p, m.k)
-
-    for lo, hi in ((lay.wZ, lay.wY), (lay.wY, lay.n_words)):
-        out.buf[lo:hi] = _xi_24_pass(out.buf[lo:hi].reshape(24, lay.WX), m, e).ravel()
+    pre, perm, post = _xi_zy_steps(p, e)
+    tmp = np.empty((64, 24 * lay.WH), dtype=np.uint64)
+    gather_signed(tmp.reshape(-1), v.buf, fwd, p, m.k)
+    tmp ^= pre
+    modp_core.hadamard_words(tmp, m)
+    tout = tmp.reshape(256, -1)[perm].reshape(64, -1)
+    tout ^= post
+    gather_signed(out.buf, tout.ravel(), back, p, m.k)
     return out
 
 

@@ -125,6 +125,18 @@ def butterfly_words(a, b, m: Modulus, scale_half: bool = False):
     return s, d
 
 
+def hadamard_words(a, m: Modulus):
+    """In place, a <- (H_64 / 8) a along axis 0 of a C-contiguous (64, ...)
+    uint64 array, H_64 the Sylvester Hadamard matrix: six butterfly layers
+    on the index bits, the first three halved."""
+    if a.shape[:1] != (64,) or a.dtype != np.uint64 or not a.flags.c_contiguous:
+        raise ValueError("hadamard_words needs a C-contiguous (64, ...) uint64 array")
+    for layer in range(6):
+        w = a.reshape(32 >> layer, 2, 1 << layer, -1)
+        w[:, 0], w[:, 1] = butterfly_words(w[:, 0], w[:, 1], m, scale_half=layer < 3)
+    return a
+
+
 class PackedField:
     """A fixed-length vector of residues mod p packed into uint64 words.
 

@@ -56,6 +56,31 @@ def test_apply_command(tmp_path):
     assert rc == 2
 
 
+def test_apply_bad_input_files(tmp_path, capsys):
+    """Bad MMV1 files exit with code 2 and one error line, no traceback."""
+    v = mm_rep.rand(3, 13)
+    good = tmp_path / "good.mmv"
+    mm_rep.write_vector(v, good)
+    data = good.read_bytes()
+    coord = bytearray(data)
+    coord[9 + 1000] = 3
+    cases = {"magic": b"MMV0" + data[4:], "truncated": data[:6],
+             "p5": data[:4] + bytes([5]) + data[5:], "coord": bytes(coord)}
+    for name, blob in cases.items():
+        src = tmp_path / f"{name}.mmv"
+        src.write_bytes(blob)
+        rc = mm_cli.main(["apply", "--in", str(src), "--word", "t1",
+                          "--out", str(tmp_path / "out.mmv")])
+        err = capsys.readouterr().err
+        assert rc == 2, name
+        assert err.startswith("input error: ") and "Traceback" not in err, name
+    assert "coordinate 1000 is 3" in err
+    assert not (tmp_path / "out.mmv").exists()
+    rc = mm_cli.main(["apply", "--in", str(tmp_path / "missing.mmv"), "--word", "t1",
+                      "--out", str(tmp_path / "out.mmv")])
+    assert rc == 2 and capsys.readouterr().err.startswith("input error: ")
+
+
 def test_apply_matches_library(tmp_path):
     v = mm_rep.rand(7, 12)
     src, dst = tmp_path / "a.mmv", tmp_path / "b.mmv"

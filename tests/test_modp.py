@@ -133,3 +133,32 @@ def test_pads_stay_aliased(p, rng):
     f = mc.pack(rng.ints(n, p), m)
     g = mc.neg_packed(mc.halve_packed(mc.add_packed(f, f)))
     assert len(mc.unpack(g)) == n
+
+
+@pytest.mark.parametrize("p", ALL_P)
+def test_hadamard_words_matches_sylvester(p):
+    """hadamard_words is H_64 / 8 mod p along axis 0, lane by lane, with
+    the alias p read as 0 and a trailing axis carried along."""
+    m = mc.modulus(p)
+    rng = np.random.default_rng(p)
+    vals = rng.integers(0, p + 1, size=(64, 3, 2, m.lanes), dtype=np.uint64)
+    vals[:, 0, 0, 0] = p                        # a whole alias column
+    words = np.zeros((64, 3, 2), dtype=np.uint64)
+    for s in range(m.lanes):
+        words |= vals[..., s] << np.uint64(s * m.k)
+    assert mc.hadamard_words(words, m) is words
+    idx = np.arange(64)
+    H = 1 - 2 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(np.int64)
+    x = vals.astype(np.int64) % p
+    want = np.tensordot(H, x, axes=(1, 0)) * pow(8, -1, p) % p
+    got = np.stack([(words >> np.uint64(s * m.k)) & np.uint64(p)
+                    for s in range(m.lanes)], axis=-1).astype(np.int64) % p
+    assert np.array_equal(got, want)
+
+
+def test_hadamard_words_rejects_bad_arrays():
+    m = mc.modulus(7)
+    a = np.zeros((64, 4), dtype=np.uint64)
+    for bad in (a[:, ::2], a.T.copy().T, a[:32], a.astype(np.int64)):
+        with pytest.raises(ValueError):
+            mc.hadamard_words(bad, m)
