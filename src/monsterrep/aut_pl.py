@@ -62,7 +62,16 @@ IDENTITY_PERM = Perm24(tuple(range(24)))
 @lru_cache(maxsize=512)
 def _perm_tables(images: tuple):
     """(code image table, cocode image table, qform table) for a code
-    automorphism, or raises NotInM24Error."""
+    automorphism, or raises NotInM24Error.
+
+    q is the quadratic form with q(b_j) = 0 whose polarization is
+
+        B(c, e) = theta(c^perm, e^perm) + theta(c, e).
+
+    B is linear in e, and symmetric because theta(c, e) + theta(e, c) =
+    |c & e|/2 is invariant under the permutation; so it is bilinear.
+    Hence q doubles on the highest bit: for b = 2^j and r < b,
+    q(r + b) = q(r) + B(r, b), twelve vectorized steps."""
     basis_imgs = []
     for b in BASIS:
         m = permute_mask(b, images)
@@ -72,23 +81,15 @@ def _perm_tables(images: tuple):
             raise NotInM24Error(
                 "permutation does not preserve the Golay code") from None
     code_img = np.zeros(4096, dtype=np.uint16)
+    q = np.zeros(4096, dtype=np.uint8)
     for j in range(12):
-        step = 1 << j
-        code_img[step:2 * step] = code_img[:step] ^ np.uint16(basis_imgs[j])
+        b = 1 << j
+        code_img[b:2 * b] = code_img[:b] ^ np.uint16(basis_imgs[j])
+        beta = (np.bitwise_count(THETA[code_img[:b]] & code_img[b])
+                ^ np.bitwise_count(THETA[:b] & np.uint16(b)))
+        q[b:2 * b] = q[:b] ^ (beta & 1)
 
     cocode_img = syndrome_mask_vec(permute_mask_vec(LIGHTEST, images))
-
-    # q[c]: quadratic form vanishing on the basis with polarization
-    # theta(c^perm, e^perm) + theta(c, e).
-    th_p = THETA[code_img.astype(np.int64)]
-    q = np.zeros(4096, dtype=np.uint8)
-    for c in range(1, 4096):
-        k = (c & -c).bit_length() - 1
-        rest = c ^ (1 << k)
-        bk = 1 << k
-        beta = (bin(int(th_p[rest]) & int(code_img[bk])).count("1")
-                ^ bin(int(THETA[rest]) & bk).count("1")) & 1
-        q[c] = q[rest] ^ q[bk] ^ beta
     return code_img, cocode_img, q
 
 

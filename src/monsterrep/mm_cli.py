@@ -13,6 +13,8 @@ Example: ``monsterrep apply --in v.mmv --word 'x1a3*t1*l2' --out w.mmv``.
 """
 
 import argparse
+import dataclasses
+import json
 import sys
 import time
 
@@ -109,6 +111,13 @@ def cmd_verify(args) -> int:
             print(line)
         ok &= rep.ok
     print("ALL SUITES PASSED" if ok else "FAILURES PRESENT")
+    if args.json:
+        try:
+            with open(args.json, "w") as fh:
+                json.dump([dataclasses.asdict(rep) for rep in reports], fh, indent=1)
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return 2
     return 0 if ok else 1
 
 
@@ -124,7 +133,11 @@ def cmd_apply(args) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     w = mm_rep.apply_word(v, word.atoms)
-    mm_rep.write_vector(w, args.outfile)
+    try:
+        mm_rep.write_vector(w, args.outfile)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -245,6 +258,8 @@ def build_parser():
     vp.add_argument("--seed", type=int, default=1)
     vp.add_argument("--samples", type=int, default=None,
                     help="sample count for randomized checks (0 = exhaustive only)")
+    vp.add_argument("--json", metavar="PATH", default=None,
+                    help="also write the reports (suite, seconds, checks) as JSON")
     vp.set_defaults(func=cmd_verify)
 
     ad = sub.add_parser("apply", help="apply a generator word to a vector file")

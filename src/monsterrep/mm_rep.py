@@ -433,9 +433,15 @@ def _pi_maps(pi: StdAutomorphism):
     oct_img_masks = golay.permute_mask_vec(golay.OCTAD_MASKS, images)
     oct_img = golay.OCTAD_INDEX_OF_COORD[
         golay.compress_vec(oct_img_masks).astype(np.int64)].astype(np.int64)
-    rep_img = golay.permute_mask_vec(golay.SUB_REP.ravel().astype(np.uint32), images)
-    t_img_t = golay.suboctad_of_mask_vec(
-        np.repeat(oct_img, 64), rep_img.astype(np.int64)).reshape(759, 64)
+    # t -> SUB_REP[o, t] (an XOR of pairs {pt0, pt_j}), the point map and
+    # suboctad_of_mask are GF(2)-linear: map 6 basis t, fill 64 by doubling.
+    rep_img = golay.permute_mask_vec(golay.SUB_REP[:, [1, 2, 4, 8, 16, 32]].ravel(), images)
+    basis_img = golay.suboctad_of_mask_vec(
+        np.repeat(oct_img, 6), rep_img.astype(np.int64)).reshape(759, 6)
+    t_img_t = np.zeros((759, 64), dtype=np.int64)
+    for j in range(6):
+        b = 1 << j
+        t_img_t[:, b:2 * b] = t_img_t[:, :b] ^ basis_img[:, j:j + 1]
     oct_sign = (aut_pl.apply_value_vec(pi, golay.OCTAD_COORDS.astype(np.int64)) >> 12) & 1
     # the suboctad label carries Omega^{|delta|/2}, and Omega -> -Omega when
     # the automorphism is odd

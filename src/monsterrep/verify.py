@@ -704,7 +704,7 @@ def rep_norm_suite(seed=1, samples=None, p=None) -> Report:
     nvec = 10 if samples is None else min(samples, 500)
     rng = CounterRng(seed)
     for pp in ps:
-        oks = []
+        oks, valid, first = [], [], ""
         for trial in range(nvec):
             v = mm_rep.rand(pp, int(rng.words(1)[0]))
             n0 = mm_rep.norm_form(v)
@@ -712,10 +712,19 @@ def rep_norm_suite(seed=1, samples=None, p=None) -> Report:
                        _random_atom(rng, "z"), _random_atom(rng, "d"),
                        _random_atom(rng, "p"), _atom("t", 1), _atom("t", 2),
                        _atom("l", 1), _atom("l", 2)):
-                oks.append(mm_rep.norm_form(mm_rep.apply_atom(v, at)) == n0)
+                w = mm_rep.apply_atom(v, at)
+                oks.append(mm_rep.norm_form(w) == n0)
+                try:
+                    mm_rep.check_vector(w)
+                    valid.append(True)
+                except ValueError as exc:
+                    valid.append(False)
+                    first = first or f"vector {trial}, atom {at.tag}: {exc}"
         if oks:
             rep.add(f"p={pp}: norm form invariant under every atom class "
                     f"({nvec} vectors x 9 atoms)", oks)
+            rep.add(f"p={pp}: check_vector accepts every atom output "
+                    f"({nvec} vectors x 9 atoms)", valid, lambda i: first)
     return rep
 
 

@@ -122,3 +122,34 @@ def test_composition_law_with_lift_corrections(rng):
                            ^ int(q2.qform[c1 & 0xFFF]))
             got = aut_pl.apply_value(both, int(dv))
             assert got >> 12 == expect_sign
+
+
+def _qform_per_codeword(code_img):
+    """q built one codeword at a time, splitting off the lowest bit."""
+    q = np.zeros(4096, dtype=np.uint8)
+    for c in range(1, 4096):
+        bk = c & -c
+        rest = c ^ bk
+        beta = (bin(int(pl.THETA[int(code_img[rest])]) & int(code_img[bk])).count("1")
+                ^ bin(int(pl.THETA[rest]) & bk).count("1")) & 1
+        q[c] = q[rest] ^ q[bk] ^ beta
+    return q
+
+
+def test_qform_oracle(rng):
+    """q vanishes on the basis, its polarization is theta(c^pi, b^pi) +
+    theta(c, b) for every c and basis vector b, and it equals the
+    per-codeword construction."""
+    odd = StdAutomorphism(golay.syndrome(1), aut_pl.random_perm(rng))
+    assert parity(odd) == 1
+    auts = [IDENTITY_AUT, odd] + [from_perm(aut_pl.random_perm(rng)) for _ in range(20)]
+    c = np.arange(4096)
+    for pi in auts:
+        code_img, _, q = pi.tables()
+        assert q[0] == 0 and not q[1 << np.arange(12)].any()
+        for j in range(12):
+            b = 1 << j
+            pol = (golay.pair_bits(pl.THETA[code_img[c]], code_img[b])
+                   ^ golay.pair_bits(pl.THETA[c], b))
+            assert np.array_equal(q[c ^ b] ^ q[c] ^ q[b], pol), (pi.perm, j)
+        assert np.array_equal(q, _qform_per_codeword(code_img))

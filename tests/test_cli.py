@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,18 @@ def test_apply_bad_input_files(tmp_path, capsys):
     assert rc == 2 and capsys.readouterr().err.startswith("input error: ")
 
 
+def test_apply_unwritable_output(tmp_path, capsys):
+    """An output path in a missing directory exits with code 2 and one
+    error line, no traceback."""
+    src = tmp_path / "a.mmv"
+    mm_rep.write_vector(mm_rep.rand(3, 14), src)
+    rc = mm_cli.main(["apply", "--in", str(src), "--word", "t1",
+                      "--out", str(tmp_path / "nodir" / "x.mmv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("output error: ") and "Traceback" not in err
+
+
 def test_apply_matches_library(tmp_path):
     v = mm_rep.rand(7, 12)
     src, dst = tmp_path / "a.mmv", tmp_path / "b.mmv"
@@ -111,6 +125,24 @@ def test_verify_exit_codes(capsys):
 def test_verify_exhaustive_only(capsys):
     assert mm_cli.main(["verify", "loop", "--samples", "0"]) == 0
     assert mm_cli.main(["verify", "qx", "--samples", "0"]) == 0
+
+
+def test_verify_json(tmp_path, capsys):
+    """--json writes the printed reports back as data; exit codes stay."""
+    path = tmp_path / "verify.json"
+    assert mm_cli.main(["verify", "rep-norm", "--p", "3", "--samples", "1",
+                        "--json", str(path)]) == 0
+    out = capsys.readouterr().out
+    (rep,) = json.loads(path.read_text())
+    assert rep["suite"] == "rep-norm" and rep["seconds"] > 0
+    names = [c["name"] for c in rep["checks"]]
+    assert names == ["p=3: norm form invariant under every atom class (1 vectors x 9 atoms)",
+                     "p=3: check_vector accepts every atom output (1 vectors x 9 atoms)"]
+    for c in rep["checks"]:
+        assert (c["count"], c["fails"], c["first_bad"]) == (9, 0, "")
+        assert c["name"] in out
+    assert mm_cli.main(["verify", "golay", "--json", str(tmp_path / "nodir" / "v.json")]) == 2
+    assert capsys.readouterr().err.startswith("output error: ")
 
 
 def test_verify_deterministic(capsys):

@@ -472,3 +472,24 @@ def test_gather_kernel_body_matches_numpy():
         got[:] = 0
         _kernels._gather_signed_njit(got, v.buf, *args)
         assert np.array_equal(got, want)
+
+
+def test_pi_suboctad_images(rng):
+    """t_img_t[o, t] is the suboctad of the permuted representative of
+    (o, t) in the image octad, for all 64 t on sampled octads of even and
+    odd automorphisms."""
+    odd = golay.syndrome(1).coords
+    for k in range(6):
+        pi = aut_pl.random_automorphism(rng)
+        if aut_pl.parity(pi) != k % 2:
+            pi = aut_pl.StdAutomorphism(golay.CocodeElement(pi.diag.coords ^ odd), pi.perm)
+        assert aut_pl.parity(pi) == k % 2
+        images = pi.perm.images
+        maps = mr._pi_maps(pi)
+        oct_img, t_img = maps["t_img_o"][:, 0], maps["t_img_t"]
+        for o in rng.ints(50, 759):
+            o, o_img = int(o), int(oct_img[o])
+            assert golay.OCTAD_MASKS[o_img] == golay.permute_mask(int(golay.OCTAD_MASKS[o]), images)
+            for t in range(64):
+                rep = golay.permute_mask(int(golay.SUB_REP[o, t]), images)
+                assert t_img[o, t] == golay.suboctad_of_mask(o_img, rep), (k, o, t)
