@@ -2,7 +2,7 @@
 
 Layers, bottom up:
 
-    modp_core    packed residue arithmetic (complement / rotate /
+    modp_core    residue arithmetic on arrays (complement / rotate /
                  end-around-carry tricks for p = 2^k - 1)
     golay        the binary Golay code on the MOG, its cocode, and the
                  grey/coloured decomposition
@@ -10,12 +10,12 @@ Layers, bottom up:
     aut_pl       standard automorphisms of the loop
     qx_leech     the extraspecial group 2^(1+24), the Leech lattice mod 2,
                  short vectors and generator conjugation
-    mm_rep       vectors with 196884 coordinates and the generator kernels
+    mm_rep       vectors of 196884 one-byte coordinates and the generator
+                 kernels
     mm_cli       verify / apply / bench / info command line
 """
 
-from .modp_core import (Modulus, PackedField, add_packed, butterfly_packed,
-                        halve_packed, modulus, neg_packed, pack, unpack)
+from .modp_core import Modulus, modulus
 from .golay import (CocodeElement, GolayCodeword, HexacodeWord, compress,
                     expand, gamma, grey_split, is_codeword, lightest_rep,
                     octad_index, scalar, suboctad_index, syndrome, w, w2)

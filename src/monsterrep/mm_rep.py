@@ -10,27 +10,26 @@ A vector splits into seven blocks,
     Z  2048 x 24   'plus' tensor part,
     Y  2048 x 24   'minus' tensor part,
 
-packed into one uint64 buffer per vector.  The in-memory lane order is
-chosen so the non-monomial kernels run on whole words: T is stored as 64
-suboctad planes of 759 lanes, X/Z/Y as 24 point planes of 2048 lanes
-(each plane word aligned).  The logical coordinate order (used by the
-MMV1 file format, ``unpack`` and the norm form) is the block order above
-with A as diagonal-then-pairs, T octad-major and X/Z/Y class-major.
+stored as one uint8 per coordinate in the MMV1 file order: the blocks in
+the order above, A as its 24 diagonal entries then the 276 pairs, T
+octad-major and X/Z/Y class-major.  A coordinate holds a value 0..p, and
+p is an alias of 0 (see ``modp_core``).  Short vector n of ``qx_leech``
+is coordinate 300 + n.
 
 Generator words act through four kernel families:
 
 * monomial atoms (x_e / y_e / z_e and automorphism atoms) become one
-  signed lane permutation of the whole vector, A taken as 576 lanes,
-  held as a pull table (``_kernels.GatherTable``) that is built from the
-  block structure and applied by one gather;
+  signed permutation of the whole vector, held as a pull table
+  (``_kernels.GatherTable``) that is built from the block structure and
+  applied by one gather;
 * the triality generator mixes (A_ij, B_ij, C_ij) by a 3x3 matrix with
   halving, rotates X -> Y -> Z -> X with sign masks, and applies H_64 / 8
   (``modp_core.hadamard_words``: six butterfly layers, three halved) to
-  the 64 suboctad planes of T;
+  the 64 suboctads of each octad of T;
 * the extra generator acts monomially on B/C/T/X through conjugation in
   the extraspecial group, by 4x4 column blocks on A, and on Z/Y by
-  H_16 (x) H_4 = H_64 / 8, the same kernel, between two signed row
-  permutations of a grey-frame tensor;
+  H_16 (x) H_4 = H_64 / 8, the same kernel, between two signed gathers
+  into and out of a grey-frame tensor;
 * everything else is composition.
 """
 
@@ -45,10 +44,12 @@ from .aut_pl import StdAutomorphism
 from .golay import CocodeElement, EXPAND
 from .modp_core import Modulus, modulus
 from .parker_loop import PMAP_TABLE, THETA, ParkerLoopElement
-from .qx_leech import (N_SHORT, OFF_C, OFF_T, OFF_X, SHORT_VALUES,
-                       class_to_coords, coords_to_class)
+from .qx_leech import SHORT_VALUES, class_to_coords, coords_to_class
 
 DIM = 196884
+
+# first coordinate of the blocks B, C, T, X, Z, Y (A starts at 0)
+_B, _C, _T, _X, _Z, _Y = 300, 576, 852, 49428, 98580, 147732
 
 _CLASS_COORDS = class_to_coords(np.arange(2048)).astype(np.int64)
 _CLASS_MASKS = EXPAND[_CLASS_COORDS].astype(np.int64)
@@ -56,6 +57,10 @@ _CLASS_P = PMAP_TABLE[_CLASS_COORDS].astype(np.int64)
 
 _PAIR_I = qx_leech._PAIR_I.astype(np.int64)
 _PAIR_J = qx_leech._PAIR_J.astype(np.int64)
+
+# coordinate of the A entry (i, j): i on the diagonal, else 24 + pair index
+_A_IDX = 24 + qx_leech._PAIR_IDX.astype(np.int64)
+_A_IDX[np.arange(24), np.arange(24)] = np.arange(24)
 
 # n(t): half the size of the canonical suboctad representative, mod 2.
 _SUB_N64 = golay.SUB_NBIT[0].astype(np.int64)
@@ -68,92 +73,23 @@ def _canon(codes):
 
 
 # ---------------------------------------------------------------------------
-# Packed layout
+# Coordinate access
 
 class Layout:
-    """Word offsets and lane addressing for one modulus."""
+    """Coordinate access for one modulus: reads map the alias p to 0."""
 
     def __init__(self, m: Modulus):
         self.m = m
-        L = m.lanes
-        self.wA = 0
-        self.nA = m.words_for(576)
-        self.wB = self.nA
-        self.nB = m.words_for(276)
-        self.wC = self.wB + self.nB
-        self.wT = self.wC + self.nB
-        self.WT = m.words_for(759)
-        self.wX = self.wT + 64 * self.WT
-        self.WX = m.words_for(2048)
-        self.wZ = self.wX + 24 * self.WX
-        self.wY = self.wZ + 24 * self.WX
-        self.n_words = self.wY + 24 * self.WX
 
-        o = np.arange(759)
-        t = np.arange(64)
-        self.lane_T = (self.wT + t[None, :] * self.WT) * L + o[:, None]
-        chi = np.arange(2048)
-        i24 = np.arange(24)
-        self.lane_X = (self.wX + i24[None, :] * self.WX) * L + chi[:, None]
-        self.lane_Z = (self.wZ + i24[None, :] * self.WX) * L + chi[:, None]
-        self.lane_Y = (self.wY + i24[None, :] * self.WX) * L + chi[:, None]
-        self.lane_A = np.arange(576)
-        self.lane_B = self.wB * L + np.arange(276)
-        self.lane_C = self.wC * L + np.arange(276)
-
-        # logical (file-order) coordinate -> lane
-        log = np.empty(DIM, dtype=np.int64)
-        log[0:24] = 25 * np.arange(24)
-        log[24:300] = 24 * _PAIR_I + _PAIR_J
-        self._mirror = 24 * _PAIR_J + _PAIR_I
-        log[300:576] = self.lane_B
-        log[576:852] = self.lane_C
-        log[852:852 + 48576] = self.lane_T.ravel()
-        log[852 + 48576:852 + 48576 + 49152] = self.lane_X.ravel()
-        base = 852 + 48576 + 49152
-        log[base:base + 49152] = self.lane_Z.ravel()
-        log[base + 49152:] = self.lane_Y.ravel()
-        self.log_lane = log
-
-        # flat short-vector index -> lane (same block order as qx_leech)
-        sv = np.empty(N_SHORT, dtype=np.int64)
-        sv[:OFF_C] = self.lane_B
-        sv[OFF_C:OFF_T] = self.lane_C
-        sv[OFF_T:OFF_X] = self.lane_T.ravel()
-        sv[OFF_X:] = self.lane_X.ravel()
-        self.short_lane = sv
-
-        # grey-frame tensor of xi, indexed (group, dG, i, h); its rows are
-        # stored in the order (dG, i % 4, group, i // 4), so that axis 0 of
-        # a (64, ...) view is dG * 4 + i % 4
-        self.WH = m.words_for(64)
-        self.tmp_words = 4 * 16 * 24 * self.WH
-        g4 = np.arange(4)[:, None, None, None]
-        d16 = np.arange(16)[None, :, None, None]
-        i4 = i24[None, None, :, None]
-        row = ((d16 * 4 + i4 % 4) * 4 + g4) * 6 + i4 // 4
-        self.lane_TMP = row * self.WH * L + np.arange(64)
-
-        self.word_of = log // L
-        self.shift_of = ((log % L) * m.k).astype(np.uint64)
-
-        used = np.zeros(self.n_words * L, dtype=bool)
-        used[log] = used[self._mirror] = True
-        self.pad_lane = np.flatnonzero(~used)
-
-    def extract(self, buf, lanes):
-        L, k = self.m.lanes, self.m.k
-        lanes = np.asarray(lanes)
-        vals = ((buf[lanes // L] >> ((lanes % L) * k).astype(np.uint64))
-                & np.uint64(self.m.p)).astype(np.int64)
+    def extract(self, buf, idx):
+        """The coordinates idx of buf as integers 0..p-1."""
+        vals = buf[idx].astype(np.int64)
         vals[vals == self.m.p] = 0
         return vals
 
-    def inject(self, buf, lanes, vals):
-        """Write values into lanes (lanes must currently be zero)."""
-        word, slot = np.divmod(np.asarray(lanes).ravel(), self.m.lanes)
-        np.bitwise_or.at(buf, word, np.asarray(vals, dtype=np.uint64).ravel()
-                         << (slot * self.m.k).astype(np.uint64))
+    def inject(self, buf, idx, vals):
+        """Write integers 0..p-1 into the coordinates idx of buf."""
+        buf[idx] = vals
 
 
 @lru_cache(maxsize=8)
@@ -182,9 +118,7 @@ class MmVector:
         return MmVector(self.mod, self.buf.copy())
 
     def unpack(self) -> np.ndarray:
-        lay = self.layout()
-        vals = ((self.buf[lay.word_of] >> lay.shift_of)
-                & np.uint64(self.mod.p)).astype(np.int64)
+        vals = self.buf.astype(np.int64)
         vals[vals == self.mod.p] = 0
         return vals
 
@@ -197,7 +131,8 @@ class MmVector:
     def __add__(self, other):
         if self.mod.p != other.mod.p:
             raise ValueError("modulus mismatch")
-        return MmVector(self.mod, modp_core.add_words(self.buf, other.buf, self.mod))
+        s = modp_core.add_words(self.buf.astype(np.uint16), other.buf, self.mod)
+        return MmVector(self.mod, s.astype(np.uint8))
 
     def __neg__(self):
         return MmVector(self.mod, modp_core.neg_words(self.buf, self.mod))
@@ -211,24 +146,19 @@ def _as_p(p) -> int:
 
 
 def new_zero(p) -> MmVector:
-    lay = layout(_as_p(p))
-    return MmVector(lay.m, np.zeros(lay.n_words, dtype=np.uint64))
+    return MmVector(modulus(_as_p(p)), np.zeros(DIM, dtype=np.uint8))
 
 
 def from_coords(p, vals) -> MmVector:
-    p = _as_p(p)
-    vals = np.asarray(vals, dtype=np.int64)
+    m = modulus(_as_p(p))
+    vals = np.asarray(vals)
     if vals.shape != (DIM,):
         raise ValueError(f"expected {DIM} coordinates")
-    lay = layout(p)
-    if vals.min() < 0 or vals.max() >= p:
-        bad = np.flatnonzero((vals < 0) | (vals >= p))[0]
+    if vals.min() < 0 or vals.max() >= m.p:
+        bad = np.flatnonzero((vals < 0) | (vals >= m.p))[0]
         raise ValueError(f"coordinate {bad} is {vals[bad]}; "
-                         f"coordinates must lie in 0..{p - 1}")
-    v = new_zero(p)
-    lay.inject(v.buf, lay.log_lane, vals)
-    lay.inject(v.buf, lay._mirror, vals[24:300])
-    return v
+                         f"coordinates must lie in 0..{m.p - 1}")
+    return MmVector(m, vals.astype(np.uint8))
 
 
 def rand(p, seed: int) -> MmVector:
@@ -241,10 +171,9 @@ def add(a: MmVector, b: MmVector) -> MmVector:
 
 
 def basis_vector(p, logical_index: int) -> MmVector:
-    p = _as_p(p)
-    vals = np.zeros(DIM, dtype=np.int64)
-    vals[logical_index] = 1
-    return from_coords(p, vals)
+    v = new_zero(p)
+    v.buf[logical_index] = 1
+    return v
 
 
 def scale(v: MmVector, s: int) -> MmVector:
@@ -257,21 +186,13 @@ def equal(a: MmVector, b: MmVector) -> bool:
 
 def check_vector(v: MmVector) -> None:
     """Raise ValueError unless v satisfies the storage invariants: a valid
-    modulus and buffer size, a symmetric A block, pad lanes holding 0 or
-    the alias p, and no bits set above the last lane of a word."""
+    modulus and 196884 uint8 coordinates, each 0..p (p reads as 0)."""
     m = modulus(v.mod.p)
-    lay = layout(m.p)
-    if v.mod != m or v.buf.dtype != np.uint64 or v.buf.shape != (lay.n_words,):
-        raise ValueError(f"a p={m.p} vector is {lay.n_words} uint64 words")
-    A = lay.extract(v.buf, lay.lane_A).reshape(24, 24)
-    if not np.array_equal(A, A.T):
-        raise ValueError("A block is not symmetric")
-    pl = lay.pad_lane
-    pad = (v.buf[pl // m.lanes] >> (pl % m.lanes * m.k).astype(np.uint64)) & np.uint64(m.p)
-    if np.any((pad != 0) & (pad != m.p)):
-        raise ValueError(f"pad lane {pl[(pad != 0) & (pad != m.p)][0]} is not 0 or {m.p}")
-    if np.any(v.buf & np.uint64(~m.all_lanes & (2**64 - 1))):
-        raise ValueError("bits above the last lane of a word are set")
+    if v.mod != m or v.buf.dtype != np.uint8 or v.buf.shape != (DIM,):
+        raise ValueError(f"a p={m.p} vector is {DIM} uint8 coordinates")
+    if v.buf.max() > m.p:
+        bad = int(np.argmax(v.buf > m.p))
+        raise ValueError(f"coordinate {bad} is {v.buf[bad]}, above p={m.p}")
 
 
 NORM_WEIGHT = np.ones(DIM, dtype=np.int64)
@@ -303,18 +224,7 @@ def read_vector(path) -> MmVector:
         raise ValueError("not an MMV1 vector file")
     if len(data) != 9 + DIM or int.from_bytes(data[5:9], "little") != DIM:
         raise ValueError(f"corrupt MMV1 file: {len(data)} bytes, expected {9 + DIM}")
-    return from_coords(data[4], np.frombuffer(data[9:], dtype=np.uint8).astype(np.int64))
-
-
-# ---------------------------------------------------------------------------
-# Small-block (A/B/C) access
-
-def _get_smalls(v: MmVector):
-    lay = v.layout()
-    A = lay.extract(v.buf, lay.lane_A).reshape(24, 24)
-    B = lay.extract(v.buf, lay.lane_B)
-    C = lay.extract(v.buf, lay.lane_C)
-    return A, B, C
+    return from_coords(data[4], np.frombuffer(data, dtype=np.uint8, offset=9))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +266,7 @@ def atom(tag: str, payload) -> GeneratorAtom:
 # ---------------------------------------------------------------------------
 # Monomial atoms: logical signed-permutation maps
 #
-# Maps are built in source order: lane src -> sign * lane img.
+# Maps are built in source order: coordinate src -> sign * coordinate img.
 
 def _theta_vec(dc, ec):
     return golay.pair_bits(THETA[np.asarray(dc, dtype=np.int64)], ec).astype(np.int64)
@@ -458,7 +368,7 @@ def _pi_maps(pi: StdAutomorphism):
     maps = dict(
         t_img_o=oct_img[:, None], t_img_t=t_img_t, t_sgn=t_sgn,
         x_row=(chi_img, ws), x_col=(img24, zero24),
-        # odd automorphisms also sign X lane (d, i) by P(d) + <d, i>
+        # odd automorphisms also sign X coordinate (d, i) by P(d) + <d, i>
         x_par=par,
         a=(img24, zero24),
         bc=(np.concatenate((pair_img, 276 + pair_img)),
@@ -474,63 +384,38 @@ def _pi_maps(pi: StdAutomorphism):
     return maps
 
 
-def _mono_table(lay: Layout, maps) -> GatherTable:
+def _mono_table(p: int, maps) -> GatherTable:
     """Pull table of a monomial atom over the whole vector."""
-    L, k, p, n = lay.m.lanes, lay.m.k, lay.m.p, lay.n_words
-    sw = np.empty((L, n), dtype=np.int64)
-    sh = np.empty((L, n), dtype=np.uint8)
-    ng = np.zeros((L, n), dtype=np.uint8)
+    src = np.empty(DIM, dtype=np.int32)
+    neg = np.empty(DIM, dtype=np.uint8)
 
-    # A/B/C/T: start from the identity, so pad lanes pull from themselves,
-    # then scatter each source (word, slot) to the slot-major position
-    # slot * n + word of its image.  Octad o sits in slot o % L of word
-    # o // L of every suboctad plane.
-    sw[:, :lay.wX] = np.arange(lay.wX)
-    sh[:, :lay.wX] = (np.arange(L) * k)[:, None]
+    # A/B/C/T: scatter the push maps, coordinate c -> +-dst[c] for c < _X.
+    # Both entries (i, j) and (j, i) of A write the same coordinate alike.
     (a_img, a_sgn), (bc_img, bc_sgn) = maps["a"], maps["bc"]
-    bc = np.concatenate((lay.lane_B, lay.lane_C))
-    oq, osl = np.divmod(np.arange(759), L)
-    o_img, plane = maps["t_img_o"], lay.wT + np.arange(64) * lay.WT
-    for (dw, ds), (w, s), sg in (
-            (np.divmod(24 * a_img[:, None] + a_img, L), np.divmod(lay.lane_A.reshape(24, 24), L),
-             a_sgn[:, None] ^ a_sgn),
-            (np.divmod(bc[bc_img], L), np.divmod(bc, L), bc_sgn),
-            ((plane[maps["t_img_t"]] + oq[o_img], osl[o_img]), (plane + oq[:, None], osl[:, None]),
-             maps["t_sgn"])):
-        pos = ds * n + dw
-        sw.ravel()[pos] = w
-        sh.ravel()[pos] = s * k
-        ng.ravel()[pos] = (sg & 1) * p
+    dst = np.concatenate((_A_IDX[a_img[:, None], a_img].ravel(), _B + bc_img,
+                          (_T + 64 * maps["t_img_o"] + maps["t_img_t"]).ravel()))
+    sgn = np.concatenate(((a_sgn[:, None] ^ a_sgn).ravel(), bc_sgn,
+                          np.broadcast_to(maps["t_sgn"], (759, 64)).ravel()))
+    src[dst] = np.concatenate((_A_IDX.ravel(), np.arange(_B, _X)))
+    neg[dst] = (sgn & 1) * p
 
-    # X/Z/Y: invert the row and column maps; the source word, shift and
-    # sign are outer sums over (slot, point, word in the plane).  Row chi
-    # of a plane sits in slot chi % L of word chi // L; pad rows pull from
-    # themselves with sign 0.
-    WX = lay.WX
-    chi = np.arange(WX * L).reshape(WX, L).T
-    real = chi < 2048
-    base = {"X": lay.wX, "Z": lay.wZ, "Y": lay.wY}
+    # X/Z/Y: invert the row and column maps; the source index is an outer
+    # sum over (row, point) and the sign an outer XOR
+    base = {"X": _X, "Z": _Z, "Y": _Y}
     for blk, dname, (rimg, rsgn), (cimg, csgn) in (
             ("X", "X", maps["x_row"], maps["x_col"]),
             ("Z", maps["z_dst"], maps["z_row"], maps["z_col"]),
             ("Y", maps["y_dst"], maps["y_row"], maps["y_col"])):
         rinv, cinv = np.empty(2048, dtype=np.int64), np.empty(24, dtype=np.int64)
         rinv[rimg], cinv[cimg] = np.arange(2048), np.arange(24)
-        rr = rinv[chi * real]
-        word, slot = np.divmod(np.where(real, rr, chi), L)
-        view = np.s_[:, base[dname]:base[dname] + 24 * WX]
-        np.add((base[blk] + cinv * WX)[:, None], word[:, None, :],
-               out=sw[view].reshape(L, 24, WX))
-        sh[view].reshape(L, 24, WX)[...] = (slot * k).astype(np.uint8)[:, None, :]
-        neg = ng[view].reshape(L, 24, WX)
-        np.bitwise_xor(((rsgn[rr] & real) * p).astype(np.uint8)[:, None, :],
-                       ((csgn[cinv] & 1) * p).astype(np.uint8)[:, None], out=neg)
+        view = np.s_[base[dname]:base[dname] + 49152]
+        np.add((base[blk] + 24 * rinv)[:, None], cinv, out=src[view].reshape(2048, 24))
+        sg = rsgn[rinv][:, None] ^ csgn[cinv]
         if blk == "X" and maps["x_par"]:
-            # odd automorphisms also sign X lane (d, i) by P(d) + <d, i>
-            neg ^= ((_CLASS_P[rr][:, None, :] ^ (_CLASS_MASKS[rr][:, None, :] >> cinv[:, None]))
-                    & 1).astype(np.uint8) * np.uint8(p)
-        neg &= (real * p).astype(np.uint8)[:, None, :]
-    return GatherTable(sw.ravel(), sh.ravel(), ng.ravel(), L)
+            # odd automorphisms also sign X coordinate (d, i) by P(d) + <d, i>
+            sg = sg ^ _CLASS_P[rinv][:, None] ^ (_CLASS_MASKS[rinv][:, None] >> cinv)
+        neg[view] = ((sg & 1) * p).ravel()
+    return GatherTable(src, neg)
 
 
 _MONO_CACHE = {}
@@ -548,7 +433,7 @@ def _monomial_gather(p: int, at: GeneratorAtom) -> GatherTable:
     else:
         maps = _pi_maps(StdAutomorphism(CocodeElement(at.payload),
                                         aut_pl.IDENTITY_PERM))
-    table = _mono_table(layout(p), maps)
+    table = _mono_table(p, maps)
     if len(_MONO_CACHE) > 128:
         _MONO_CACHE.clear()
     _MONO_CACHE[key] = table
@@ -557,7 +442,7 @@ def _monomial_gather(p: int, at: GeneratorAtom) -> GatherTable:
 
 def _apply_monomial(v: MmVector, at: GeneratorAtom) -> MmVector:
     out = MmVector(v.mod, np.empty_like(v.buf))
-    gather_signed(out.buf, v.buf, _monomial_gather(v.p, at), v.mod.p, v.mod.k)
+    gather_signed(out.buf, v.buf, _monomial_gather(v.p, at))
     return out
 
 
@@ -566,63 +451,55 @@ def _apply_monomial(v: MmVector, at: GeneratorAtom) -> MmVector:
 
 @lru_cache(maxsize=8)
 def _tau_masks(p: int):
-    lay = layout(p)
-    m = lay.m
-    # (-1)^{<d,i>} per (class, point) lane of an X/Z/Y block
-    di = np.zeros((24, lay.WX * m.lanes), dtype=np.int64)
-    pp = np.zeros((24, lay.WX * m.lanes), dtype=np.int64)
-    bits_p = _CLASS_P
-    for i in range(24):
-        di[i, :2048] = (_CLASS_MASKS >> i) & 1
-        pp[i, :2048] = bits_p
-    def to_words(bits):
-        return modp_core.pack_words((bits * p).ravel(), m).reshape(24, lay.WX)
-    mask_di = to_words(di)
-    mask_p = to_words(pp)
-    # x_tau plane signs and the parity reindex of the suboctad planes
-    n_t = ((_SUB_N64 != 0))
-    plane_reindex = np.where(_SUB_PAR == 1, np.arange(64) ^ 63, np.arange(64))
-    return mask_di, mask_p, n_t, plane_reindex
-
-
-def _tau_once(v: MmVector) -> MmVector:
-    p, m, lay = v.p, v.mod, v.layout()
-    mask_di, mask_p, n_t, reindex = _tau_masks(p)
-    out = new_zero(p)
-
-    # small blocks: diag fixed, (a, b, c) -> ((b+c)/2, a+(b-c)/2, -a+(b-c)/2)
-    A, B, C = _get_smalls(v)
-    half = (p + 1) // 2
-    a = A[_PAIR_I, _PAIR_J]
-    s = (B + C) * half % p
-    d = (B - C) * half % p
-    A2 = A.copy()
-    A2[_PAIR_I, _PAIR_J] = A2[_PAIR_J, _PAIR_I] = s
-    B2 = (a + d) % p
-    C2 = (-a + d) % p
-    for lanes, vals in ((lay.lane_A, A2), (lay.lane_B, B2), (lay.lane_C, C2)):
-        lay.inject(out.buf, lanes, vals)
-
-    # T: y_tau (H_64 / 8 on the suboctad planes, parity reindex), then x_tau
-    W = modp_core.hadamard_words(v.buf[lay.wT:lay.wX].reshape(64, lay.WT).copy(), m)[reindex]
-    W[n_t] = modp_core.neg_words(W[n_t], m)
-    out.buf[lay.wT:lay.wX] = W.ravel()
-
-    # X -> Y -> Z -> X with sign masks
-    Xb = v.buf[lay.wX:lay.wZ]
-    Zb = v.buf[lay.wZ:lay.wY]
-    Yb = v.buf[lay.wY:]
-    out.buf[lay.wY:] = Xb ^ mask_di.ravel()
-    out.buf[lay.wZ:lay.wY] = Yb ^ mask_di.ravel() ^ mask_p.ravel()
-    out.buf[lay.wX:lay.wZ] = Zb ^ mask_p.ravel()
-    return out
+    # (-1)^{<d,i>} and (-1)^{P(d)} per (class, point) coordinate of X/Z/Y
+    di = ((_CLASS_MASKS[:, None] >> np.arange(24)) & 1).astype(np.uint8) * np.uint8(p)
+    pp = np.broadcast_to((_CLASS_P[:, None] & 1).astype(np.uint8) * np.uint8(p), (2048, 24))
+    # x_tau signs of the suboctads and their parity reindex
+    t_neg = np.where(_SUB_N64 != 0, p, 0).astype(np.uint16)[:, None]
+    reindex = np.where(_SUB_PAR == 1, np.arange(64) ^ 63, np.arange(64))
+    return di.ravel(), (di ^ pp).ravel(), pp.ravel(), t_neg, reindex
 
 
 def apply_tau(v: MmVector, e: int) -> MmVector:
+    """tau^e in one pass; tau^2 = tau^-1 runs every step of tau inverted."""
     if e not in (1, 2):
         raise ValueError("exponent must be 1 or 2")
-    out = _tau_once(v)
-    return _tau_once(out) if e == 2 else out
+    p, m, lay = v.p, v.mod, v.layout()
+    mask_di, mask_dp, mask_p, t_neg, reindex = _tau_masks(p)
+    out = MmVector(m, np.empty_like(v.buf))
+
+    # small blocks: diagonal fixed; pairs (a, b, c) -> tau: ((b+c)/2,
+    # a+(b-c)/2, -a+(b-c)/2), tau^2: ((b-c)/2, a+(b+c)/2, a-(b+c)/2)
+    c = lay.extract(v.buf, np.s_[:_T])
+    a, b, cc = c[24:_B], c[_B:_C], c[_C:_T]
+    half = (p + 1) // 2
+    s, d = (b + cc) * half, (b - cc) * half
+    new = (s, a + d, d - a) if e == 1 else (d, a + s, a - s)
+    lay.inject(out.buf, np.s_[:_T], np.concatenate((c[:24],) + new) % p)
+
+    # T: tau is y_tau (H_64 / 8 on the suboctads, then the parity reindex)
+    # then x_tau's signs; tau^2 undoes them in reverse order, as H_64 / 8
+    # and the reindex are involutions
+    W = v.buf[_T:_X].reshape(759, 64).T.astype(np.uint16, order="C")
+    if e == 1:
+        W = modp_core.hadamard_words(W, m)[reindex]
+        W ^= t_neg
+    else:
+        W ^= t_neg
+        W = modp_core.hadamard_words(W[reindex], m)
+    out.buf[_T:_X].reshape(759, 64)[...] = W.T
+
+    # X -> Y -> Z -> X with sign masks under tau, the other way under tau^2
+    X, Z, Y = v.buf[_X:_Z], v.buf[_Z:_Y], v.buf[_Y:]
+    if e == 1:
+        np.bitwise_xor(X, mask_di, out=out.buf[_Y:])
+        np.bitwise_xor(Y, mask_dp, out=out.buf[_Z:_Y])
+        np.bitwise_xor(Z, mask_p, out=out.buf[_X:_Z])
+    else:
+        np.bitwise_xor(Y, mask_di, out=out.buf[_X:_Z])
+        np.bitwise_xor(Z, mask_dp, out=out.buf[_Y:])
+        np.bitwise_xor(X, mask_p, out=out.buf[_Z:_Y])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -698,49 +575,23 @@ def _xi_group_map(e: int):
 
 @lru_cache(maxsize=8)
 def _xi_98280_tables(p: int):
-    lay = layout(p)
+    """B/C/T/X pull tables of xi and xi^2: short vector n is coordinate
+    300 + n, and xi^e maps it to +-short vector idx[n]."""
     out = []
     for e in (1, 2):
         img = qx_leech.conj_by_xi_vec(SHORT_VALUES, e)
         idx, sgn, ok = qx_leech.short_index_vec(img)
         assert ok.all()
-        out.append(pull_table(lay.short_lane[idx], lay.short_lane, sgn, lay.m,
-                              lay.wB, lay.wZ))
+        out.append(pull_table(idx, _B + np.arange(len(idx)), sgn, p))
     return out
 
 
-@lru_cache(maxsize=8)
-def _xi_4096_gather(p: int):
-    """Lane correspondence between Z/Y storage and the grey-frame basis
-    tensor (group, dG, point, coloured index), forward and backward."""
-    lay = layout(p)
-    g = np.arange(4)[:, None, None, None]
-    i = np.arange(24)[None, None, :, None]
-    h = np.arange(64)[None, None, None, :]
-    sig, kap = g >> 1, g & 1
-    cu = kap | (_D16_PAT[None, :, None, None] << 1) | (h << 6)
-    c0, b = _canon(cu)
-    chi = coords_to_class(c0)
-    lane_vec = np.where(sig == 0,
-                        lay.lane_Z[chi, i + 0 * g],
-                        lay.lane_Y[chi, i + 0 * g]).ravel()
-    sign = np.broadcast_to((sig * b) & 1, (4, 16, 24, 64)).ravel()
-    tmp = lay.lane_TMP.ravel()
-    # L divides 64 exactly when it divides 2048, so the tensor rows and the
-    # Z/Y planes have pad lanes together; pads pull from a pad of the other
-    # side (lane 2048 of Z plane 0, lane 64 of tensor row 0), which is 0 or p
-    return (pull_table(tmp, lane_vec, sign, lay.m, 0, lay.tmp_words,
-                       fill=lay.wZ * lay.m.lanes + 2048),
-            pull_table(lane_vec, tmp, sign, lay.m, lay.wZ, lay.n_words, fill=64))
-
-
-@lru_cache(maxsize=16)
-def _xi_zy_steps(p: int, e: int):
-    """Sign masks before and after the H_64 / 8 of xi^e on the grey-frame
+@lru_cache(maxsize=2)
+def _xi_zy_steps(e: int):
+    """Sign bits before and after the H_64 / 8 of xi^e on the grey-frame
     tensor, for its (64, ...) view with axis 0 = dG * 4 + i % 4, and the
     row permutation in between, for its (256, ...) view with axis 0 =
     (dG, i % 4, group)."""
-    neg = np.uint64(modulus(p).all_lanes)
     dg, j = np.divmod(np.arange(64), 4)
     if e == 1:      # D first; then (-1)^(w2(dG) + 1)
         pre, post = j == 0, _W2_5[dg] == 0
@@ -748,38 +599,57 @@ def _xi_zy_steps(p: int, e: int):
         pre, post = _W2_5[dg] == 1, j != 0
     perm = (_REIDX16[:, None, None] * 16 + _SWAP12[:, None] * 4
             + np.argsort(_xi_group_map(e))).ravel()
-    return (np.where(pre, neg, 0).astype(np.uint64)[:, None], perm,
-            np.where(post, neg, 0).astype(np.uint64)[:, None])
+    return pre.astype(np.int64), perm, post.astype(np.int64)
+
+
+def _grey_frame():
+    """Per grey-frame basis vector (group, dG, i, h): its position in the
+    (64, 1536) tensor, whose rows are dG * 4 + i % 4 and columns (group,
+    i // 4, h), its Z/Y coordinate, and the sign between the two."""
+    g = np.arange(4)[:, None, None, None]
+    dg = np.arange(16)[None, :, None, None]
+    i = np.arange(24)[None, None, :, None]
+    h = np.arange(64)[None, None, None, :]
+    sig, kap = g >> 1, g & 1
+    c0, b = _canon(kap | (_D16_PAT[dg] << 1) | (h << 6))
+    pos = (dg * 4 + i % 4) * 1536 + g * 384 + (i // 4) * 64 + h
+    coord = np.where(sig == 0, _Z, _Y) + 24 * coords_to_class(c0) + i
+    return [x.ravel() for x in np.broadcast_arrays(pos, coord, sig * b)]
+
+
+@lru_cache(maxsize=16)
+def _xi_zy_tables(p: int, e: int):
+    """Pull tables of xi^e's Z/Y part: Z/Y into the grey-frame tensor with
+    the pre-signs, and the transformed tensor back to Z/Y through the row
+    permutation, with the post-signs."""
+    pos, coord, sign = _grey_frame()
+    pre, perm, post = _xi_zy_steps(e)
+    row = pos // 1536
+    fwd = pull_table(pos, coord, sign ^ pre[row], p)
+    back = pull_table(coord - _Z, perm[pos // 384] * 384 + pos % 384, sign ^ post[row], p)
+    return fwd, back
 
 
 def apply_xi(v: MmVector, e: int) -> MmVector:
     if e not in (1, 2):
         raise ValueError("exponent must be 1 or 2")
     p, m, lay = v.p, v.mod, v.layout()
-    out = new_zero(p)
+    out = MmVector(m, np.empty_like(v.buf))
 
     # A: congruence with the block-diagonal 24x24 matrix, exact integers
-    A, _, _ = _get_smalls(v)
+    A = lay.extract(v.buf, _A_IDX)
     M = qx_leech.xi24_matrix_num(e)
-    inv4 = pow(4, -1, p)
-    A2 = (M.T @ A @ M) * inv4 % p
-    lay.inject(out.buf, lay.lane_A, A2.ravel())
+    lay.inject(out.buf, _A_IDX, (M.T @ A @ M) * pow(4, -1, p) % p)
 
     # B/C/T/X: signed permutation from conjugation in the extraspecial group
-    table = _xi_98280_tables(p)[e - 1]
-    gather_signed(out.buf, v.buf, table, p, m.k)
+    gather_signed(out.buf[_B:_Z], v.buf, _xi_98280_tables(p)[e - 1])
 
-    # Z/Y: into the grey-frame tensor, H_64 / 8 between signed row
-    # permutations, and back
-    fwd, back = _xi_4096_gather(p)
-    pre, perm, post = _xi_zy_steps(p, e)
-    tmp = np.empty((64, 24 * lay.WH), dtype=np.uint64)
-    gather_signed(tmp.reshape(-1), v.buf, fwd, p, m.k)
-    tmp ^= pre
-    modp_core.hadamard_words(tmp, m)
-    tout = tmp.reshape(256, -1)[perm].reshape(64, -1)
-    tout ^= post
-    gather_signed(out.buf, tout.ravel(), back, p, m.k)
+    # Z/Y: into the grey-frame tensor, H_64 / 8, and back
+    fwd, back = _xi_zy_tables(p, e)
+    tmp = np.empty(64 * 1536, dtype=np.uint8)
+    gather_signed(tmp, v.buf, fwd)
+    tmp = modp_core.hadamard_words(tmp.reshape(64, 1536).astype(np.uint16), m)
+    gather_signed(out.buf[_Z:], tmp.ravel(), back)
     return out
 
 

@@ -3,7 +3,7 @@
 Pure Python integer arithmetic on the logical coordinate list, one
 coordinate at a time, with the block formulas written out literally
 (64-term sums per suboctad coordinate, 16-term sums per grey-frame
-coordinate).  Used to cross-check the packed word kernels and as the
+coordinate).  Used to cross-check the vector kernels of mm_rep and as the
 baseline the benchmark compares against.
 """
 

@@ -112,6 +112,7 @@ def test_info_topics(capsys):
     out = capsys.readouterr().out
     assert "98280" in out
     assert "196884" in out
+    assert "storage: one uint8 per coordinate in this order; the value p reads as 0" in out
     assert mm_cli.main(["info"][:1] + ["layout"]) == 0
 
 
@@ -160,7 +161,7 @@ def test_bench_smoke(capsys):
                         "--word-class", "tau"]) == 0
     out = capsys.readouterr().out
     assert "0.73" in out and "1.35" in out
-    assert "packed vs scalar" in out
+    assert "kernels vs scalar reference" in out
 
 
 def test_python_dash_m_entry_point():

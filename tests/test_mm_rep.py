@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from monsterrep import _kernels, aut_pl, golay, mm_rep as mr, parker_loop as pl, qx_leech as qx
+from monsterrep import aut_pl, golay, mm_rep as mr, parker_loop as pl, qx_leech as qx
 from monsterrep import scalar_ref
 from monsterrep.mm_rep import GeneratorAtom as A
 
@@ -202,7 +202,7 @@ def test_intertwining_sampled(rng):
 
 @pytest.mark.parametrize("p", ALL_P)
 def test_lane_purity_scalar_reference(p):
-    """Packed kernels match the per-coordinate scalar implementation."""
+    """The kernels match the per-coordinate scalar implementation."""
     v = mr.rand(p, 80 + p)
     c = v.unpack().tolist()
     tau = scalar_ref.apply_tau(c, p)
@@ -210,30 +210,33 @@ def test_lane_purity_scalar_reference(p):
     assert mr.apply_tau(v, 2).unpack().tolist() == scalar_ref.apply_tau(tau, p)
     for e in (1, 2):
         w = mr.apply_xi(v, e)
-        mr.check_vector(w)              # pads may hold the alias p, never more
+        mr.check_vector(w)              # coordinates may hold the alias p, never more
         assert w.unpack().tolist() == scalar_ref.apply_xi(c, p, e)
 
 
 def test_basis4096_index_roundtrip():
-    """The grey-frame basis lane correspondence is a signed bijection."""
-    lay = mr.layout(7)
-    fwd, back = mr._xi_4096_gather(7)
-    # the forward table fills each of the 98304 real grey-frame lanes from a
-    # distinct Z/Y lane, and so reaches every Z/Y lane exactly once
-    L, k = lay.m.lanes, lay.m.k
-    src_lane = (fwd.src_word * L + fwd.src_shift // k).T.ravel()
-    zy_lanes = np.concatenate((lay.lane_Z.ravel(), lay.lane_Y.ravel()))
-    assert lay.lane_TMP.size == 4 * 16 * 24 * 64
-    assert np.array_equal(np.sort(src_lane[lay.lane_TMP.ravel()]), np.sort(zy_lanes))
-    # forward followed by backward is the identity on Z/Y lanes
-    v = mr.rand(7, 90)
-    tmp = np.zeros(lay.tmp_words, dtype=np.uint64)
-    mr.gather_signed(tmp, v.buf, fwd, 7, lay.m.k)
-    out = mr.new_zero(7)
-    mr.gather_signed(out.buf, tmp, back, 7, lay.m.k)
-    cv, co = v.unpack(), out.unpack()
+    """Every (group, dG, i, h) entry of xi's forward Z/Y table pulls the
+    coordinate and sign that basis4096_to_storage names, and together the
+    entries pull every Z/Y coordinate once.  The grey-frame tensor is
+    (64, 1536): row dG * 4 + i % 4, column (group, i // 4, h)."""
+    p = 7
     zy = 300 + 98280
-    assert np.array_equal(cv[zy:], co[zy:])
+    i = np.arange(24)
+    for e in (1, 2):
+        fwd, _ = mr._xi_zy_tables(p, e)
+        pre = mr._xi_zy_steps(e)[0]
+        assert np.array_equal(np.sort(fwd.src), np.arange(zy, mr.DIM))
+        src = np.asarray(fwd.src).reshape(16, 4, 4, 6, 64)     # (dG, i%4, group, i//4, h)
+        neg = fwd.neg.reshape(16, 4, 4, 6, 64)
+        for g in range(4):
+            for dg in range(16):
+                for h in range(64):
+                    sector, chi, sign = mr.basis4096_to_storage(
+                        mr.Basis4096Index(g >> 1, g & 1, dg, h))
+                    want = zy + 49152 * sector + 24 * chi + i
+                    assert np.array_equal(src[dg, i % 4, g, i // 4, h], want)
+                    want_neg = (sign ^ pre[dg * 4 + i % 4]) * p
+                    assert np.array_equal(neg[dg, i % 4, g, i // 4, h], want_neg)
 
 
 def test_basis4096_index_bijection():
@@ -374,8 +377,8 @@ def test_random_word_inversion(rng):
 
 @pytest.mark.parametrize("p", ALL_P)
 def test_random_word_invariants(p, rng):
-    """Every atom keeps A symmetric and pad lanes at 0 or the alias, at
-    every modulus, and the inverse word undoes the word."""
+    """Every atom keeps every coordinate in 0..p, at every modulus, and
+    the inverse word undoes the word."""
     v = mr.rand(p, 78 + p)
     mr.check_vector(v)
     word = [_random_atom(rng, "xyzdptl") for _ in range(8)]
@@ -385,25 +388,29 @@ def test_random_word_invariants(p, rng):
 
 def test_check_vector_rejects():
     p = 7
-    lay = mr.layout(p)
-    L, k = lay.m.lanes, lay.m.k
     v = mr.rand(p, 79)
     mr.check_vector(v)
+    v.buf[:5] = p                                       # the alias of 0
+    mr.check_vector(v)
     bad = v.copy()
-    bad.buf[0] ^= np.uint64(1) << np.uint64(k)          # A[0, 1] only
-    with pytest.raises(ValueError, match="symmetric"):
+    bad.buf[1234] = p + 1
+    with pytest.raises(ValueError, match="coordinate 1234 is 8"):
         mr.check_vector(bad)
-    lane = int(lay.pad_lane[0])
-    bad = v.copy()
-    bad.buf[lane // L] |= np.uint64(1) << np.uint64(lane % L * k)
-    with pytest.raises(ValueError, match="pad lane"):
-        mr.check_vector(bad)
-    bad = v.copy()
-    bad.buf[-1] |= np.uint64(1) << np.uint64(63)        # above the 21 lanes
-    with pytest.raises(ValueError, match="above the last lane"):
-        mr.check_vector(bad)
-    with pytest.raises(ValueError, match="uint64 words"):
+    with pytest.raises(ValueError, match="uint8 coordinates"):
         mr.check_vector(mr.MmVector(v.mod, v.buf[:-1]))
+    with pytest.raises(ValueError, match="uint8 coordinates"):
+        mr.check_vector(mr.MmVector(v.mod, v.buf.astype(np.uint64)))
+
+
+@pytest.mark.parametrize("p", [3, 255])
+def test_monomial_tables_are_signed_permutations(p, rng):
+    """The pull table of every monomial tag is a permutation of all
+    coordinates with a sign mask of 0 or p."""
+    for tag in "xyzdp":
+        for _ in range(2):
+            tab = mr._monomial_gather(p, _random_atom(rng, tag))
+            assert np.array_equal(np.sort(tab.src), np.arange(mr.DIM))
+            assert set(np.unique(tab.neg).tolist()) <= {0, p}
 
 
 def _small_blocks(c, at, p):
@@ -452,26 +459,6 @@ def test_small_blocks_closed_form(p, rng):
             at = _random_atom(rng, tag)
             got = mr.apply_atom(v, at).unpack()[:852]
             assert np.array_equal(got, _small_blocks(c, at, p)), at
-
-
-def test_gather_kernel_body_matches_numpy():
-    """The loop kernel compiled by numba, run as plain Python, equals the
-    numpy gather on the xi table of B/C/T/X."""
-    p = 255
-    lay = mr.layout(p)
-    tab = mr._xi_98280_tables(p)[0]
-    v = mr.rand(p, 92)
-    args = (tab.start, tab.src_word, tab.src_shift, tab.neg, np.uint64(p), lay.m.k)
-    want = np.zeros(lay.n_words, dtype=np.uint64)
-    _kernels._gather_signed_np(want, v.buf, *args)
-    body = getattr(_kernels._gather_signed_njit, "py_func", _kernels._gather_signed_njit)
-    got = np.zeros(lay.n_words, dtype=np.uint64)
-    body(got, v.buf, *args)
-    assert np.array_equal(got, want)
-    if _kernels.HAVE_NUMBA:
-        got[:] = 0
-        _kernels._gather_signed_njit(got, v.buf, *args)
-        assert np.array_equal(got, want)
 
 
 def test_pi_suboctad_images(rng):

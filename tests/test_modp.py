@@ -3,18 +3,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monsterrep import modp_core as mc
+from monsterrep import mm_rep as mr, modp_core as mc
 
 ALL_P = mc.ALLOWED_P
+
+
+def _u16(vals):
+    return np.asarray(vals, dtype=np.uint16)
+
+
+def _res(a, p):
+    """Residues 0..p-1 of values 0..p (the alias p reads as 0)."""
+    a = np.asarray(a)
+    assert a.min() >= 0 and a.max() <= p        # no op leaves 0..p
+    return a.astype(np.int64) % p
 
 
 @pytest.mark.parametrize("p", ALL_P)
 def test_modulus_geometry(p):
     m = mc.modulus(p)
     assert m.p == (1 << m.k) - 1
-    assert m.lanes == 64 // m.k
-    assert m.words_for(m.lanes) == 1
-    assert m.words_for(m.lanes + 1) == 2
+    assert m.k == p.bit_length()
 
 
 def test_bad_modulus_rejected():
@@ -26,139 +35,146 @@ def test_bad_modulus_rejected():
 
 @pytest.mark.parametrize("p", ALL_P)
 def test_pack_roundtrip_and_range(p):
-    m = mc.modulus(p)
-    vals = np.arange(p)
-    f = mc.pack(vals, m)
-    assert np.array_equal(mc.unpack(f), vals)
-    with pytest.raises(ValueError):
-        mc.pack([p], m)          # the alias value must be passed as 0
-    with pytest.raises(ValueError):
-        mc.pack([-1], m)
+    """Coordinates 0..p-1 are stored one per byte and read back; the
+    stored alias p reads back as 0; p and -1 are rejected on input."""
+    vals = np.resize(np.arange(p), mr.DIM)
+    v = mr.from_coords(p, vals)
+    assert v.buf.dtype == np.uint8 and np.array_equal(v.unpack(), vals)
+    v.buf[:3] = p
+    assert v.unpack()[:3].tolist() == [0, 0, 0]
+    for bad in (p, -1):
+        vals[7] = bad
+        with pytest.raises(ValueError):
+            mr.from_coords(p, vals)
 
 
 def test_pack_examples():
-    assert mc.unpack(mc.pack([0], mc.modulus(3))).tolist() == [0]
-    assert mc.unpack(mc.pack([5], mc.modulus(7))).tolist() == [5]
+    def one(p, x):
+        vals = np.zeros(mr.DIM, dtype=np.int64)
+        vals[5] = x
+        return int(mr.from_coords(p, vals).unpack()[5])
+    assert one(3, 0) == 0
+    assert one(7, 5) == 5
     with pytest.raises(ValueError):
-        mc.pack([7], mc.modulus(7))
+        one(7, 7)
 
 
 @pytest.mark.parametrize("p", ALL_P)
 def test_lane_ops_exhaustive(p):
-    """Every lane operation agrees with scalar arithmetic, all lane pairs."""
+    """Every operation agrees with scalar arithmetic on all pairs of values
+    0..p, the alias p included on both inputs."""
     m = mc.modulus(p)
-    a = np.repeat(np.arange(p), p)
-    b = np.tile(np.arange(p), p)
-    fa, fb = mc.pack(a, m), mc.pack(b, m)
-    assert np.array_equal(mc.unpack(mc.add_packed(fa, fb)), (a + b) % p)
-    assert np.array_equal(mc.unpack(mc.neg_packed(fa)), (-a) % p)
+    a = _u16(np.repeat(np.arange(p + 1), p + 1))
+    b = _u16(np.tile(np.arange(p + 1), p + 1))
+    ia, ib = a.astype(np.int64), b.astype(np.int64)
+    assert np.array_equal(_res(mc.add_words(a, b, m), p), (ia + ib) % p)
+    assert np.array_equal(_res(mc.neg_words(a, m), p), (-ia) % p)
     half = (p + 1) // 2
-    assert np.array_equal(mc.unpack(mc.halve_packed(fa)), a * half % p)
-    s, d = mc.butterfly_packed(fa, fb)
-    assert np.array_equal(mc.unpack(s), (a + b) % p)
-    assert np.array_equal(mc.unpack(d), (a - b) % p)
-    s, d = mc.butterfly_packed(fa, fb, scale_half=True)
-    assert np.array_equal(mc.unpack(s), (a + b) * half % p)
-    assert np.array_equal(mc.unpack(d), (a - b) * half % p)
+    assert np.array_equal(_res(mc.halve_words(a, m), p), ia * half % p)
+    s, d = mc.butterfly_words(a, b, m)
+    assert np.array_equal(_res(s, p), (ia + ib) % p)
+    assert np.array_equal(_res(d, p), (ia - ib) % p)
+    s, d = mc.butterfly_words(a, b, m, scale_half=True)
+    assert np.array_equal(_res(s, p), (ia + ib) * half % p)
+    assert np.array_equal(_res(d, p), (ia - ib) * half % p)
 
 
 def test_add_examples():
-    assert mc.unpack(mc.add_packed(mc.pack([2], mc.modulus(3)),
-                                   mc.pack([2], mc.modulus(3)))).tolist() == [1]
-    assert mc.unpack(mc.add_packed(mc.pack([6], mc.modulus(7)),
-                                   mc.pack([1], mc.modulus(7)))).tolist() == [0]
-    assert mc.unpack(mc.add_packed(mc.pack([200], mc.modulus(255)),
-                                   mc.pack([100], mc.modulus(255)))).tolist() == [45]
+    m3, m7, m255 = mc.modulus(3), mc.modulus(7), mc.modulus(255)
+    assert _res(mc.add_words(_u16([2]), _u16([2]), m3), 3).tolist() == [1]
+    assert _res(mc.add_words(_u16([6]), _u16([1]), m7), 7).tolist() == [0]
+    assert _res(mc.add_words(_u16([200]), _u16([100]), m255), 255).tolist() == [45]
+    # a = b = 255 at p = 255: the sum needs 9 bits
+    assert _res(mc.add_words(_u16([255]), _u16([255]), m255), 255).tolist() == [0]
 
 
 def test_neg_halve_examples():
-    assert mc.unpack(mc.neg_packed(mc.pack([5], mc.modulus(15)))).tolist() == [10]
-    assert mc.unpack(mc.halve_packed(mc.pack([1], mc.modulus(7)))).tolist() == [4]
-    assert mc.unpack(mc.halve_packed(mc.pack([6], mc.modulus(7)))).tolist() == [3]
+    assert _res(mc.neg_words(_u16([5]), mc.modulus(15)), 15).tolist() == [10]
+    assert _res(mc.halve_words(_u16([1]), mc.modulus(7)), 7).tolist() == [4]
+    assert _res(mc.halve_words(_u16([6]), mc.modulus(7)), 7).tolist() == [3]
 
 
 def test_butterfly_examples():
     m7 = mc.modulus(7)
-    s, d = mc.butterfly_packed(mc.pack([3], m7), mc.pack([5], m7))
-    assert (mc.unpack(s).tolist(), mc.unpack(d).tolist()) == ([1], [5])
+    s, d = mc.butterfly_words(_u16([3]), _u16([5]), m7)
+    assert (_res(s, 7).tolist(), _res(d, 7).tolist()) == ([1], [5])
     m3 = mc.modulus(3)
-    s, d = mc.butterfly_packed(mc.pack([1], m3), mc.pack([1], m3), scale_half=True)
-    assert (mc.unpack(s).tolist(), mc.unpack(d).tolist()) == ([1], [0])
+    s, d = mc.butterfly_words(_u16([1]), _u16([1]), m3, scale_half=True)
+    assert (_res(s, 3).tolist(), _res(d, 3).tolist()) == ([1], [0])
 
 
 @pytest.mark.parametrize("p", ALL_P)
 def test_involutions_and_inverses(p, rng):
     m = mc.modulus(p)
-    vals = rng.ints(1000, p)
-    f = mc.pack(vals, m)
-    assert mc.neg_packed(mc.neg_packed(f)) == f
-    assert mc.double_packed(mc.halve_packed(f)) == f
-    s, d = mc.butterfly_packed(f, mc.pack(rng.ints(1000, p), m), scale_half=True)
-    s2, d2 = mc.butterfly_packed(s, d)
-    assert s2 == f
+    f = _u16(rng.ints(1000, p + 1))
+    assert np.array_equal(mc.neg_words(mc.neg_words(f, m), m), f)
+    h = mc.halve_words(f, m)
+    assert np.array_equal(_res(mc.add_words(h, h, m), p), _res(f, p))
+    s, d = mc.butterfly_words(f, _u16(rng.ints(1000, p + 1)), m, scale_half=True)
+    s2, d2 = mc.butterfly_words(s, d, m)
+    assert np.array_equal(_res(s2, p), _res(f, p))
 
 
 def test_modulus_mismatch():
     with pytest.raises(ValueError):
-        mc.add_packed(mc.pack([1], mc.modulus(3)), mc.pack([1], mc.modulus(7)))
+        mr.new_zero(3) + mr.new_zero(7)
+    m3 = mc.modulus(3)
     with pytest.raises(ValueError):
-        mc.add_packed(mc.pack([1, 2], mc.modulus(3)), mc.pack([1], mc.modulus(3)))
+        mc.add_words(_u16([1, 2]), _u16([1, 2, 0]), m3)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(ALL_P), st.integers(0, 2**63), st.integers(1, 200))
 def test_lane_isolation(p, seed, n):
-    """Word-level ops never leak between lanes."""
+    """Element-wise ops on arrays holding the alias p: each result depends
+    only on its own inputs."""
     m = mc.modulus(p)
     rng = np.random.default_rng(seed)
-    a = rng.integers(0, p, n)
-    b = rng.integers(0, p, n)
-    fa, fb = mc.pack(a, m), mc.pack(b, m)
-    got = mc.unpack(mc.add_packed(fa, fb))
-    assert np.array_equal(got, (a + b) % p)
-    # single-lane change must not affect other lanes
+    a = _u16(rng.integers(0, p + 1, n))
+    b = _u16(rng.integers(0, p + 1, n))
+    a[rng.integers(0, n)] = p
+    got = _res(mc.add_words(a, b, m), p)
+    assert np.array_equal(got, (a.astype(np.int64) + b) % p)
+    # a change of one element must not affect the others
     j = int(rng.integers(0, n))
     a2 = a.copy()
-    a2[j] = (a2[j] + 1) % p
-    got2 = mc.unpack(mc.add_packed(mc.pack(a2, m), fb))
+    a2[j] = (a2[j] + 1) % (p + 1)
+    got2 = _res(mc.add_words(a2, b, m), p)
     diff = np.nonzero(got2 != got)[0]
     assert set(diff.tolist()) <= {j}
 
 
 @pytest.mark.parametrize("p", ALL_P)
 def test_pads_stay_aliased(p, rng):
-    """Lanes past the count read back as zero after any op chain."""
+    """An op chain on values that include the alias p keeps every value in
+    0..p and reads back as the residues of the chain."""
     m = mc.modulus(p)
-    n = m.lanes + 3
-    f = mc.pack(rng.ints(n, p), m)
-    g = mc.neg_packed(mc.halve_packed(mc.add_packed(f, f)))
-    assert len(mc.unpack(g)) == n
+    f = _u16(rng.ints(64, p + 1))
+    f[::5] = p
+    g = mc.neg_words(mc.halve_words(mc.add_words(f, f, m), m), m)
+    assert g.dtype == np.uint16 and g.max() <= p
+    assert np.array_equal(_res(g, p), (-(f.astype(np.int64) % p)) % p)
 
 
 @pytest.mark.parametrize("p", ALL_P)
 def test_hadamard_words_matches_sylvester(p):
-    """hadamard_words is H_64 / 8 mod p along axis 0, lane by lane, with
+    """hadamard_words is H_64 / 8 mod p along axis 0, element-wise, with
     the alias p read as 0 and a trailing axis carried along."""
     m = mc.modulus(p)
     rng = np.random.default_rng(p)
-    vals = rng.integers(0, p + 1, size=(64, 3, 2, m.lanes), dtype=np.uint64)
-    vals[:, 0, 0, 0] = p                        # a whole alias column
-    words = np.zeros((64, 3, 2), dtype=np.uint64)
-    for s in range(m.lanes):
-        words |= vals[..., s] << np.uint64(s * m.k)
-    assert mc.hadamard_words(words, m) is words
+    vals = rng.integers(0, p + 1, size=(64, 3, 2), dtype=np.uint16)
+    vals[:, 0, 0] = p                           # a whole alias column
+    x = vals.astype(np.int64) % p
+    assert mc.hadamard_words(vals, m) is vals
     idx = np.arange(64)
     H = 1 - 2 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(np.int64)
-    x = vals.astype(np.int64) % p
     want = np.tensordot(H, x, axes=(1, 0)) * pow(8, -1, p) % p
-    got = np.stack([(words >> np.uint64(s * m.k)) & np.uint64(p)
-                    for s in range(m.lanes)], axis=-1).astype(np.int64) % p
-    assert np.array_equal(got, want)
+    assert np.array_equal(_res(vals, p), want)
 
 
 def test_hadamard_words_rejects_bad_arrays():
     m = mc.modulus(7)
-    a = np.zeros((64, 4), dtype=np.uint64)
-    for bad in (a[:, ::2], a.T.copy().T, a[:32], a.astype(np.int64)):
+    a = np.zeros((64, 4), dtype=np.uint16)
+    for bad in (a[:, ::2], a.T.copy().T, a[:32], a.astype(np.int64), a.astype(np.uint8)):
         with pytest.raises(ValueError):
             mc.hadamard_words(bad, m)
