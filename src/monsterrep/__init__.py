@@ -19,9 +19,8 @@ from .modp_core import Modulus, modulus
 from .golay import (CocodeElement, GolayCodeword, HexacodeWord, compress,
                     expand, gamma, grey_split, is_codeword, lightest_rep,
                     octad_index, scalar, suboctad_index, syndrome, w, w2)
-from .parker_loop import (CocycleTable, ParkerLoopElement, amap,
-                          build_cocycle, cmap, inv, loop, mul, pmap, theta,
-                          theta_of)
+from .parker_loop import (ParkerLoopElement, amap, cmap, inv, loop, mul, pmap,
+                          theta, theta_of)
 from .aut_pl import (NotInM24Error, Perm24, StdAutomorphism, apply, compose,
                      diag_automorphism, from_perm, parity)
 from .qx_leech import (LeechMod2, QxElement, ShortVectorIndex, conj_by_gen,
@@ -33,6 +32,6 @@ from .mm_rep import (DIM, Basis4096Index, GeneratorAtom, MmVector, add,
                      apply_xyz, atom, basis4096_from_storage,
                      basis4096_to_storage, basis_vector, new_zero, norm_form,
                      rand, read_vector, scale, write_vector)
-from .mm_cli import WordSpec, parse_word
+from .mm_cli import parse_word
 
 __version__ = "0.1.0"

@@ -37,12 +37,13 @@ def gather_signed(dst, src, table):
     dst ^= table.neg
 
 
-def pull_table(dst, src, sign, p):
-    """GatherTable over destinations 0..len(dst)-1 from push lists:
-    destination dst[i] takes source src[i], negated where sign[i] is 1.
-    The destinations must cover 0..len(dst)-1 once."""
+def pull_map(dst, src, sign):
+    """Pull form of push lists, free of the modulus: destination dst[i]
+    takes source src[i], negated where sign[i] is 1.  Returns the int32
+    source index and the uint8 sign bit of every destination; the
+    destinations must cover 0..len(dst)-1 once."""
     pull = np.empty(len(dst), dtype=np.int32)
-    neg = np.empty(len(dst), dtype=np.uint8)
+    bits = np.empty(len(dst), dtype=np.uint8)
     pull[dst] = src
-    neg[dst] = (np.asarray(sign) & 1) * p
-    return GatherTable(pull, neg)
+    bits[dst] = np.asarray(sign) & 1
+    return pull, bits

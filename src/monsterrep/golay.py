@@ -134,10 +134,6 @@ _MASKS_SORTED = EXPAND[_MASK_ORDER]
 _POPC24 = np.bitwise_count(EXPAND).astype(np.int8)
 
 
-def parity_vec(x) -> np.ndarray:
-    return (np.bitwise_count(x) & 1).astype(np.uint8)
-
-
 def syndrome_mask(v: int) -> int:
     """Cocode coordinates of a 24-bit vector (kernel = the code)."""
     s = 0
@@ -312,11 +308,6 @@ def w(x) -> int:
 
 def w2(x) -> int:
     return W2_TABLE[w(x)]
-
-
-def w2_bits(t: int) -> int:
-    """w2 on a raw 6-bit grey coordinate vector."""
-    return W2_TABLE[bin(t & 0x3F).count("1")]
 
 
 def bilinear_grey(d: GolayCodeword, e: GolayCodeword) -> int:

@@ -16,20 +16,13 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
+from functools import lru_cache
 
 from . import aut_pl, golay, mm_rep, scalar_ref, verify
 from .aut_pl import NotInM24Error, Perm24
 from .golay import CocodeElement
+from .modp_core import ALLOWED_P
 from .parker_loop import THETA
-
-
-class WordSpec:
-    """A parsed generator word."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.atoms = parse_word(text)
 
 
 def parse_word(text: str):
@@ -123,7 +116,7 @@ def cmd_verify(args) -> int:
 
 def cmd_apply(args) -> int:
     try:
-        word = WordSpec(args.word)
+        word = parse_word(args.word)
     except ValueError as exc:
         print(f"word error: {exc}", file=sys.stderr)
         return 2
@@ -132,7 +125,7 @@ def cmd_apply(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    w = mm_rep.apply_word(v, word.atoms)
+    w = mm_rep.apply_word(v, word)
     try:
         mm_rep.write_vector(w, args.outfile)
     except OSError as exc:
@@ -158,18 +151,8 @@ def _bench_atoms(rng_seed=2024):
     ]
 
 
-def _time_apply(v, at, reps):
-    mm_rep.apply_atom(v, at)                     # warm up the table caches
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        mm_rep.apply_atom(v, at)
-        times.append(time.perf_counter() - t0)
-    return 1000 * sum(times) / len(times), 1000 * min(times)
-
-
 def cmd_bench(args) -> int:
-    ps = verify.ALL_P if args.p is None else (args.p,)
+    ps = ALLOWED_P if args.p is None else (args.p,)
     reps = args.reps
     print("backend: numpy, one uint8 per coordinate")
     print("reference figures from the construction this follows: one")
@@ -183,7 +166,8 @@ def cmd_bench(args) -> int:
         v = mm_rep.rand(p, 99)
         print(f"p = {p}")
         for name, at in atoms:
-            mean, best = _time_apply(v, at, reps)
+            mm_rep.apply_atom(v, at)             # warm up the table caches
+            mean, best = verify.time_ms(lambda: mm_rep.apply_atom(v, at), reps)
             print(f"  {name:9s} mean {mean:7.2f} ms   min {best:7.2f} ms")
         word = [mm_rep.GeneratorAtom("y", 0x7b1),
                 mm_rep.GeneratorAtom("p", _bench_atoms()[4][1].payload),
@@ -191,20 +175,16 @@ def cmd_bench(args) -> int:
                 mm_rep.GeneratorAtom("l", 1)]
         for at in word:
             mm_rep.apply_atom(v, at)
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            mm_rep.apply_word(v, word)
-        t = 1000 * (time.perf_counter() - t0) / reps
+        t, _ = verify.time_ms(lambda: mm_rep.apply_word(v, word), reps)
         print(f"  G_x0-style word times xi-power ({len(word)} atoms): {t:.2f} ms")
         print("  (tau and xi cost is dominated by H_64/8 butterfly layers, on T")
         print("   and on xi's Z/Y tensor; monomial atoms by one signed gather)")
 
     v3 = mm_rep.rand(3, 99)
     coords = v3.unpack().tolist()
-    t0 = time.perf_counter()
-    scalar_ref.apply_tau(coords, 3)
-    scalar_ms = 1000 * (time.perf_counter() - t0)
-    kernel_ms, _ = _time_apply(v3, mm_rep.GeneratorAtom("t", 1), reps)
+    scalar_ms, _ = verify.time_ms(lambda: scalar_ref.apply_tau(coords, 3), 1)
+    mm_rep.apply_tau(v3, 1)
+    kernel_ms, _ = verify.time_ms(lambda: mm_rep.apply_tau(v3, 1), reps)
     print(f"kernels vs scalar reference (tau, p=3): {kernel_ms:.2f} ms vs "
           f"{scalar_ms:.1f} ms  ({scalar_ms / kernel_ms:.0f}x)")
     return 0
@@ -247,7 +227,10 @@ def cmd_info(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process and shared by every
+    ``main`` call (parsing leaves it unchanged)."""
     ap = argparse.ArgumentParser(
         prog="monsterrep",
         description="196884-dimensional Monster representation mod 2^k-1")
@@ -255,7 +238,7 @@ def build_parser():
 
     vp = sub.add_parser("verify", help="run a verification suite")
     vp.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
-    vp.add_argument("--p", type=int, choices=verify.ALL_P, default=None)
+    vp.add_argument("--p", type=int, choices=ALLOWED_P, default=None)
     vp.add_argument("--seed", type=int, default=1)
     vp.add_argument("--samples", type=int, default=None,
                     help="sample count for randomized checks (0 = exhaustive only)")
@@ -270,7 +253,7 @@ def build_parser():
     ad.set_defaults(func=cmd_apply)
 
     bp = sub.add_parser("bench", help="time generator applications")
-    bp.add_argument("--p", type=int, choices=verify.ALL_P, default=None)
+    bp.add_argument("--p", type=int, choices=ALLOWED_P, default=None)
     bp.add_argument("--reps", type=int, default=10)
     bp.add_argument("--word-class", default="all")
     bp.set_defaults(func=cmd_bench)

@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _rng, aut_pl, golay, modp_core, qx_leech
-from ._kernels import GatherTable, gather_signed, pull_table
+from ._kernels import GatherTable, gather_signed, pull_map
 from .aut_pl import StdAutomorphism
 from .golay import CocodeElement, EXPAND
 from .modp_core import Modulus, modulus
@@ -178,10 +178,6 @@ def basis_vector(p, logical_index: int) -> MmVector:
 
 def scale(v: MmVector, s: int) -> MmVector:
     return from_coords(v.p, (v.unpack() * (s % v.p)) % v.p)
-
-
-def equal(a: MmVector, b: MmVector) -> bool:
-    return a == b
 
 
 def check_vector(v: MmVector) -> None:
@@ -573,20 +569,6 @@ def _xi_group_map(e: int):
     return out
 
 
-@lru_cache(maxsize=8)
-def _xi_98280_tables(p: int):
-    """B/C/T/X pull tables of xi and xi^2: short vector n is coordinate
-    300 + n, and xi^e maps it to +-short vector idx[n]."""
-    out = []
-    for e in (1, 2):
-        img = qx_leech.conj_by_xi_vec(SHORT_VALUES, e)
-        idx, sgn, ok = qx_leech.short_index_vec(img)
-        assert ok.all()
-        out.append(pull_table(idx, _B + np.arange(len(idx)), sgn, p))
-    return out
-
-
-@lru_cache(maxsize=2)
 def _xi_zy_steps(e: int):
     """Sign bits before and after the H_64 / 8 of xi^e on the grey-frame
     tensor, for its (64, ...) view with axis 0 = dG * 4 + i % 4, and the
@@ -617,17 +599,28 @@ def _grey_frame():
     return [x.ravel() for x in np.broadcast_arrays(pos, coord, sig * b)]
 
 
-@lru_cache(maxsize=16)
-def _xi_zy_tables(p: int, e: int):
-    """Pull tables of xi^e's Z/Y part: Z/Y into the grey-frame tensor with
-    the pre-signs, and the transformed tensor back to Z/Y through the row
+@lru_cache(maxsize=2)
+def _xi_maps(e: int):
+    """The pull maps of xi^e as (source index, sign bit), free of the
+    modulus: B/C/T/X, where short vector n is coordinate 300 + n and xi^e
+    maps it to +-short vector idx[n]; Z/Y into the grey-frame tensor with
+    the pre-signs; and the transformed tensor back to Z/Y through the row
     permutation, with the post-signs."""
+    idx, sgn, ok = qx_leech.short_index_vec(qx_leech.conj_by_xi_vec(SHORT_VALUES, e))
+    assert ok.all()
     pos, coord, sign = _grey_frame()
     pre, perm, post = _xi_zy_steps(e)
     row = pos // 1536
-    fwd = pull_table(pos, coord, sign ^ pre[row], p)
-    back = pull_table(coord - _Z, perm[pos // 384] * 384 + pos % 384, sign ^ post[row], p)
-    return fwd, back
+    return (pull_map(idx, _B + np.arange(len(idx)), sgn),
+            pull_map(pos, coord, sign ^ pre[row]),
+            pull_map(coord - _Z, perm[pos // 384] * 384 + pos % 384, sign ^ post[row]))
+
+
+@lru_cache(maxsize=16)
+def _xi_tables(p: int, e: int):
+    """Pull tables of xi^e mod p for B/C/T/X, Z/Y forward and Z/Y back:
+    every modulus shares the source indices and scales the sign bits."""
+    return tuple(GatherTable(src, bits * p) for src, bits in _xi_maps(e))
 
 
 def apply_xi(v: MmVector, e: int) -> MmVector:
@@ -642,10 +635,10 @@ def apply_xi(v: MmVector, e: int) -> MmVector:
     lay.inject(out.buf, _A_IDX, (M.T @ A @ M) * pow(4, -1, p) % p)
 
     # B/C/T/X: signed permutation from conjugation in the extraspecial group
-    gather_signed(out.buf[_B:_Z], v.buf, _xi_98280_tables(p)[e - 1])
+    short, fwd, back = _xi_tables(p, e)
+    gather_signed(out.buf[_B:_Z], v.buf, short)
 
     # Z/Y: into the grey-frame tensor, H_64 / 8, and back
-    fwd, back = _xi_zy_tables(p, e)
     tmp = np.empty(64 * 1536, dtype=np.uint8)
     gather_signed(tmp, v.buf, fwd)
     tmp = modp_core.hadamard_words(tmp.reshape(64, 1536).astype(np.uint16), m)

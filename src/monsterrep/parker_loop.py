@@ -69,18 +69,6 @@ THETA = _build_theta()
 PMAP_TABLE = ((np.bitwise_count(EXPAND) >> 2) & 1).astype(np.uint8)
 
 
-@dataclass(frozen=True)
-class CocycleTable:
-    """theta as a map codeword -> cocode element (lookup + pairing)."""
-    theta_of: np.ndarray
-
-    def __call__(self, dcoords: int) -> int:
-        return int(self.theta_of[dcoords])
-
-
-COCYCLE = CocycleTable(THETA)
-
-
 def theta_of(d: GolayCodeword) -> CocodeElement:
     return CocodeElement(int(THETA[d.coords]))
 
@@ -179,7 +167,3 @@ def cmap(d: ParkerLoopElement, e: ParkerLoopElement) -> int:
 def amap(d: ParkerLoopElement, e: ParkerLoopElement) -> CocodeElement:
     return CocodeElement(amap_mask(d.mask, e.mask))
 
-
-def build_cocycle() -> CocycleTable:
-    """The distinguished cocycle table (already built at import)."""
-    return COCYCLE

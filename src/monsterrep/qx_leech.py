@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import golay, parker_loop
+from . import golay
 from .aut_pl import StdAutomorphism, apply_value
 from .golay import CocodeElement, GolayCodeword, COCODE_WEIGHT, EXPAND, LIGHTEST
 from .parker_loop import PMAP_TABLE, THETA, ParkerLoopElement
@@ -150,10 +150,6 @@ def leech_rep(lam: LeechMod2) -> np.ndarray:
     c = lam.code
     psi = int(THETA[c]) ^ lam.cocode
     return LAM_CODE[c] + LAM_COCODE[psi]
-
-
-def leech_pair_mod2(u: np.ndarray, v: np.ndarray) -> int:
-    return (int(u.astype(np.int64) @ v.astype(np.int64)) // 8) & 1
 
 
 def rep_type(u: np.ndarray) -> int:
@@ -460,19 +456,7 @@ def theta_sign(ce: int, c: int) -> int:
     return bin(int(THETA[ce]) & c).count("1") & 1
 
 
-_CONJ_CACHE = {}
-
-
-def conj_tables(tag: str, payload):
-    if tag == "p":
-        key = ("p", payload.perm.images, payload.diag.coords)
-    elif tag == "x":
-        key = ("x", payload & 0xFFF)
-    else:
-        key = (tag, payload & 0x1FFF)
-    hit = _CONJ_CACHE.get(key)
-    if hit is not None:
-        return hit
+def conj_by_gen_vec(vals, tag: str, payload) -> np.ndarray:
     imgc, imgf = _generator_images(tag, payload)
     tc = np.zeros(4096, dtype=np.int64)
     tf = np.zeros(4096, dtype=np.int64)
@@ -480,14 +464,6 @@ def conj_tables(tag: str, payload):
         step = 1 << j
         tc[step:2 * step] = qx_mul_value_vec(tc[:step], imgc[j])
         tf[step:2 * step] = qx_mul_value_vec(tf[:step], imgf[j])
-    if len(_CONJ_CACHE) > 512:
-        _CONJ_CACHE.clear()
-    _CONJ_CACHE[key] = (tc, tf)
-    return tc, tf
-
-
-def conj_by_gen_vec(vals, tag: str, payload) -> np.ndarray:
-    tc, tf = conj_tables(tag, payload)
     v = np.asarray(vals, dtype=np.int64)
     out = qx_mul_value_vec(tc[(v >> 12) & 0xFFF], tf[v & 0xFFF])
     return out ^ (v & 1 << 24)

@@ -4,7 +4,8 @@ Each suite returns a Report with one line per property: how many cases
 were checked, how many failed, and the first counterexample.  Sampled
 checks draw from the counter-based stream in ``_rng`` so failures
 reproduce from the seed; ``samples=0`` skips them (exhaustive-only
-subset).  The acceptance tests and the CLI both run these functions.
+subset).  The acceptance tests and the CLI both run these functions,
+and both time kernels with ``time_ms``.
 """
 
 import time
@@ -15,9 +16,8 @@ import numpy as np
 from . import aut_pl, golay, mm_rep, parker_loop, qx_leech
 from ._rng import CounterRng
 from .golay import EXPAND
+from .modp_core import ALLOWED_P
 from .parker_loop import PMAP_TABLE, THETA
-
-ALL_P = (3, 7, 15, 31, 127, 255)
 
 
 @dataclass
@@ -61,6 +61,17 @@ class Report:
         yield f"suite {self.suite}: {head} ({self.seconds:.2f}s)"
         for c in self.checks:
             yield c.line()
+
+
+def time_ms(fn, reps):
+    """Mean and minimum wall time of reps calls of fn(), in ms; any warm-up
+    is the caller's."""
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return 1000 * sum(times) / reps, 1000 * min(times)
 
 
 def _timed(fn):
@@ -593,7 +604,7 @@ def _random_atom(rng, tags="xyzdp"):
 @_timed
 def rep_relations_suite(seed=1, samples=None, p=None) -> Report:
     rep = Report("rep-relations")
-    ps = ALL_P if p is None else (p,)
+    ps = ALLOWED_P if p is None else (p,)
     # interpreted as random vectors per relation per modulus, capped
     nvec = 20 if samples is None else min(samples, 500)
     rng = CounterRng(seed)
@@ -700,7 +711,7 @@ def rep_intertwine_suite(seed=1, samples=None, p=None) -> Report:
 @_timed
 def rep_norm_suite(seed=1, samples=None, p=None) -> Report:
     rep = Report("rep-norm")
-    ps = ALL_P if p is None else (p,)
+    ps = ALLOWED_P if p is None else (p,)
     nvec = 10 if samples is None else min(samples, 500)
     rng = CounterRng(seed)
     for pp in ps:

@@ -35,11 +35,6 @@ def test_parse_word_errors():
         mm_cli.parse_word("x1a3**y1")
 
 
-def test_wordspec():
-    ws = mm_cli.WordSpec("t1*t2")
-    assert len(ws.atoms) == 2
-
-
 def test_apply_command(tmp_path):
     v = mm_rep.rand(3, 11)
     src = tmp_path / "a.mmv"

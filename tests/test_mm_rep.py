@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from monsterrep import aut_pl, golay, mm_rep as mr, parker_loop as pl, qx_leech as qx
-from monsterrep import scalar_ref
+from monsterrep import modp_core, scalar_ref
 from monsterrep.mm_rep import GeneratorAtom as A
 
-ALL_P = (3, 7, 15, 31, 127, 255)
+ALL_P = modp_core.ALLOWED_P
 
 
 @pytest.mark.parametrize("p", ALL_P)
@@ -42,6 +42,12 @@ def test_file_roundtrip(tmp_path):
     assert w == v
     mr.write_vector(w, tmp_path / "w.mmv")
     assert (tmp_path / "v.mmv").read_bytes() == (tmp_path / "w.mmv").read_bytes()
+    # the alias p is written as byte 0 and reads back equal
+    alias = v.copy()
+    alias.buf[np.flatnonzero(v.buf == 0)[::2]] = 31
+    mr.write_vector(alias, tmp_path / "a.mmv")
+    assert (tmp_path / "a.mmv").read_bytes() == (tmp_path / "v.mmv").read_bytes()
+    assert mr.read_vector(tmp_path / "a.mmv") == alias
     with pytest.raises(ValueError):
         (tmp_path / "bad.mmv").write_bytes(b"NOPE")
         mr.read_vector(tmp_path / "bad.mmv")
@@ -223,7 +229,7 @@ def test_basis4096_index_roundtrip():
     zy = 300 + 98280
     i = np.arange(24)
     for e in (1, 2):
-        fwd, _ = mr._xi_zy_tables(p, e)
+        _, fwd, _ = mr._xi_tables(p, e)
         pre = mr._xi_zy_steps(e)[0]
         assert np.array_equal(np.sort(fwd.src), np.arange(zy, mr.DIM))
         src = np.asarray(fwd.src).reshape(16, 4, 4, 6, 64)     # (dG, i%4, group, i//4, h)
@@ -237,6 +243,27 @@ def test_basis4096_index_roundtrip():
                     assert np.array_equal(src[dg, i % 4, g, i // 4, h], want)
                     want_neg = (sign ^ pre[dg * 4 + i % 4]) * p
                     assert np.array_equal(neg[dg, i % 4, g, i // 4, h], want_neg)
+
+
+def test_xi_tables_share_indices_across_moduli(monkeypatch):
+    """xi's maps are free of the modulus: building the tables of all six
+    moduli conjugates the short vectors once per e, every modulus shares
+    one index array per (e, part), and each sign is the p = 3 sign bit
+    times p."""
+    calls = []
+    conj = qx.conj_by_xi_vec
+    monkeypatch.setattr(qx, "conj_by_xi_vec", lambda vals, e: calls.append(e) or conj(vals, e))
+    mr._xi_maps.cache_clear()
+    mr._xi_tables.cache_clear()
+    for e in (1, 2):
+        base = mr._xi_tables(3, e)
+        for p in ALL_P:
+            tables = mr._xi_tables(p, e)
+            assert len(tables) == len(base) == 3
+            for part, ref in zip(tables, base):
+                assert part.src is ref.src
+                assert np.array_equal(part.neg, ref.neg // 3 * p)
+    assert calls == [1, 2]
 
 
 def test_basis4096_index_bijection():

@@ -115,7 +115,5 @@ def test_diassociativity_smoke(rng):
 
 
 def test_cocycle_table_interface():
-    table = pl.build_cocycle()
-    assert table(0) == 0
     assert theta(GolayCodeword(0x40), GolayCodeword(3)) in (0, 1)
     assert theta_of(GolayCodeword(0)).coords == 0

@@ -1,9 +1,15 @@
-"""The benchmark's tracer (perfbench/tracer.py) wraps package functions by
-name; this guards the names it needs for the Hadamard layers of tau and xi."""
+"""The benchmark (perfbench/) reaches into the package by name: its tracer
+wraps functions and reads ``_MONO_CACHE``, and its worker calls
+``mm_rep.layout`` and records ``_kernels.jit_enabled``/``HAVE_NUMBA``.
+These tests run every such name under the installed tracer.  Some of the
+names (``layout``, ``jit_enabled``, ``HAVE_NUMBA``,
+``GatherTable.dst_word``) stay in the package only because perfbench/
+names them; removing them waits for a change to the benchmark."""
 import importlib.util
 import os
 
-from monsterrep import mm_rep as mr, modp_core
+from monsterrep import _kernels, aut_pl, mm_cli, mm_rep as mr, modp_core
+from monsterrep._rng import CounterRng
 from monsterrep.mm_rep import GeneratorAtom as A
 
 TRACER_PY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -17,19 +23,23 @@ def _load_tracer():
     return mod
 
 
-def test_tracer_sees_butterflies_under_tau_and_xi():
-    tracer = _load_tracer()
-    butterfly = modp_core.butterfly_words
-    v = mr.rand(7, 5)
+def _traced(tracer, fn):
     tr = tracer.Tracer()
     tr.install()
     try:
         tr.active = True
-        mr.apply_atom(v, A("t", 1))
-        mr.apply_atom(v, A("l", 1))
+        fn()
         tr.active = False
     finally:
         tr.uninstall()
+    return tr
+
+
+def test_tracer_sees_butterflies_under_tau_and_xi():
+    tracer = _load_tracer()
+    butterfly = modp_core.butterfly_words
+    v = mr.rand(7, 5)
+    tr = _traced(tracer, lambda: (mr.apply_atom(v, A("t", 1)), mr.apply_atom(v, A("l", 1))))
     assert modp_core.butterfly_words is butterfly
     under = set()
     for i, name in enumerate(tr.names):
@@ -38,3 +48,40 @@ def test_tracer_sees_butterflies_under_tau_and_xi():
     assert {"mm_rep.apply_tau", "mm_rep.apply_xi"} <= under
     stages = tracer.layer_metrics(tr)
     assert stages["mm_rep.t_butterfly_s"] > 0 and stages["mm_rep.had16_s"] > 0
+
+
+def test_tracer_meters_the_monomial_cache():
+    tracer = _load_tracer()
+    mr._MONO_CACHE.clear()
+    v = mr.rand(3, 6)
+    atoms = (A("x", 0x1a3), A("p", aut_pl.random_automorphism(CounterRng(6))),
+             A("d", 0x29c))
+    tr = _traced(tracer, lambda: [mr.apply_atom(v, at) for at in atoms * 2])
+    assert set(tr.names) >= {"mm_rep.apply_atom:x", "mm_rep.apply_atom:p",
+                             "mm_rep.apply_atom:d", "mm_rep._monomial_gather"}
+    assert all((3, at.key()) in mr._MONO_CACHE for at in atoms)
+    stages = tracer.layer_metrics(tr)
+    assert stages["mm_rep.mono_cache.hits"] == stages["mm_rep.mono_cache.misses"] == 3
+
+
+def test_tracer_sees_the_cli_apply_path(tmp_path):
+    tracer = _load_tracer()
+    src, dst = str(tmp_path / "in.mmv"), str(tmp_path / "out.mmv")
+    mr.write_vector(mr.rand(7, 8), src)
+    rcs = []
+    tr = _traced(tracer, lambda: rcs.append(mm_cli.main(
+        ["apply", "--in", src, "--word", "x1a3*t1*l2", "--out", dst])))
+    assert rcs == [0]
+    assert set(tr.names) >= {"mm_cli.parse_word", "mm_rep.read_vector",
+                             "mm_rep.write_vector", "mm_rep.from_coords",
+                             "mm_rep.Layout.extract", "mm_rep.Layout.inject"}
+    stages = tracer.layer_metrics(tr)
+    assert stages["mm_cli.parse_word.calls"] == 1
+    assert stages["mm_rep.read_vector.calls"] == stages["mm_rep.write_vector.calls"] == 1
+
+
+def test_names_the_benchmark_reads():
+    assert isinstance(mr.layout(3), mr.Layout)
+    assert _kernels.jit_enabled() in (False, True)
+    assert _kernels.HAVE_NUMBA in (False, True)
+    assert isinstance(_kernels.GatherTable.dst_word, property)
