@@ -160,6 +160,8 @@ def cmd_bench(args) -> int:
     print("1.35 ms at p=255 on a 4.0 GHz Core i7-8750H (single thread).")
     print()
     atoms = _bench_atoms()
+    named = dict(atoms)
+    word = [named[n] for n in ("y_d", "x_pi", "x_d", "xi")]
     if args.word_class != "all":
         atoms = [(n, a) for n, a in atoms if n.startswith(args.word_class)]
     for p in ps:
@@ -169,16 +171,11 @@ def cmd_bench(args) -> int:
             mm_rep.apply_atom(v, at)             # warm up the table caches
             mean, best = verify.time_ms(lambda: mm_rep.apply_atom(v, at), reps)
             print(f"  {name:9s} mean {mean:7.2f} ms   min {best:7.2f} ms")
-        word = [mm_rep.GeneratorAtom("y", 0x7b1),
-                mm_rep.GeneratorAtom("p", _bench_atoms()[4][1].payload),
-                mm_rep.GeneratorAtom("x", 0x1a3),
-                mm_rep.GeneratorAtom("l", 1)]
-        for at in word:
-            mm_rep.apply_atom(v, at)
+        mm_rep.apply_word(v, word)               # builds the monomial run's table
         t, _ = verify.time_ms(lambda: mm_rep.apply_word(v, word), reps)
         print(f"  G_x0-style word times xi-power ({len(word)} atoms): {t:.2f} ms")
         print("  (tau and xi cost is dominated by H_64/8 butterfly layers, on T")
-        print("   and on xi's Z/Y tensor; monomial atoms by one signed gather)")
+        print("   and on xi's Z/Y tensor; a run of monomial atoms by one signed gather)")
 
     v3 = mm_rep.rand(3, 99)
     coords = v3.unpack().tolist()
@@ -227,6 +224,13 @@ def cmd_info(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {n}")
+    return n
+
+
 @lru_cache(maxsize=1)
 def build_parser():
     """The argument parser, built once per process and shared by every
@@ -254,7 +258,7 @@ def build_parser():
 
     bp = sub.add_parser("bench", help="time generator applications")
     bp.add_argument("--p", type=int, choices=ALLOWED_P, default=None)
-    bp.add_argument("--reps", type=int, default=10)
+    bp.add_argument("--reps", type=_positive_int, default=10)
     bp.add_argument("--word-class", default="all")
     bp.set_defaults(func=cmd_bench)
 

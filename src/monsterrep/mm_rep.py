@@ -18,10 +18,11 @@ is coordinate 300 + n.
 
 Generator words act through four kernel families:
 
-* monomial atoms (x_e / y_e / z_e and automorphism atoms) become one
-  signed permutation of the whole vector, held as a pull table
-  (``_kernels.GatherTable``) that is built from the block structure and
-  applied by one gather;
+* monomial atoms (x_e / y_e / z_e and automorphism atoms) are signed
+  permutations built from the block structure; ``apply_word`` composes
+  each maximal run of them into one signed permutation of the whole
+  vector, held as a pull table (``_kernels.GatherTable``) cached on the
+  run and applied by one gather;
 * the triality generator mixes (A_ij, B_ij, C_ij) by a 3x3 matrix with
   halving, rotates X -> Y -> Z -> X with sign masks, and applies H_64 / 8
   (``modp_core.hadamard_words``: six butterfly layers, three halved) to
@@ -34,7 +35,9 @@ Generator words act through four kernel families:
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -260,31 +263,74 @@ def atom(tag: str, payload) -> GeneratorAtom:
 
 
 # ---------------------------------------------------------------------------
-# Monomial atoms: logical signed-permutation maps
+# Monomial atoms and runs: signed-permutation maps
 #
-# Maps are built in source order: coordinate src -> sign * coordinate img.
+# A monomial map is held in push form, source coordinate c -> +-coordinate
+# img(c), block by block:
+#
+#   a    24-point image and 24 sign bits: A entry (i, j) goes to entry
+#        (img i, img j), negated by the sign bits of i and j together;
+#   bc   552-entry image and sign bits on B then C;
+#   t    48576-entry int32 image and sign bits on T, octad-major;
+#   xzy  per source block X, Z, Y: the destination block, a 2048-row image,
+#        a 24-column image and (2048, 24) sign bits in source coordinates.
+#
+# The form is closed under composition (``_compose``), so a run of monomial
+# atoms becomes one map, one pull table and one gather.
+
+_MONOMIAL_TAGS = frozenset("xyzpd")
+_BASE = {"X": _X, "Z": _Z, "Y": _Y}
+
+# the bit <d, i> per (class, point) of X/Z/Y, the bit P(d) per class, and
+# the sign bit P(d) + <d, i> of an odd automorphism on X
+_CLASS_DI = ((_CLASS_MASKS[:, None] >> np.arange(24)) & 1).astype(np.uint8)
+_CLASS_PBIT = (_CLASS_P & 1).astype(np.uint8)
+_CLASS_PDI = _CLASS_PBIT[:, None] ^ _CLASS_DI
+
+
+class _Maps(NamedTuple):
+    a: tuple
+    bc: tuple
+    t: tuple
+    xzy: dict
+
+
+def _bits(s):
+    return (np.asarray(s) & 1).astype(np.uint8)
+
+
+def _t_map(oct_img, sub_img, sgn):
+    """T part from the octad images, the (759, 64) suboctad images and the
+    sign bits (both broadcast to 759 x 64)."""
+    img = (64 * oct_img.astype(np.int32))[:, None] + sub_img
+    return (np.broadcast_to(img, (759, 64)).ravel(),
+            np.broadcast_to(_bits(sgn), (759, 64)).ravel())
+
+
+def _xzy_map(dst, rimg, rsgn, cimg, csgn):
+    """X/Z/Y part of a source block whose sign is a row bit plus a column bit."""
+    return dst, rimg, cimg, _bits(rsgn)[:, None] ^ _bits(csgn)
+
 
 def _theta_vec(dc, ec):
     return golay.pair_bits(THETA[np.asarray(dc, dtype=np.int64)], ec).astype(np.int64)
 
 
-def _xyz_maps(tag: str, e13: int):
+def _xyz_maps(tag: str, e13: int) -> _Maps:
     ce = e13 & 0xFFF
     se = e13 >> 12
     emask = int(EXPAND[ce])
 
     # T part
-    o = np.arange(759)[:, None]
-    t = np.arange(64)[None, :]
-    pair_e = (np.bitwise_count((golay.SUB_REP & np.uint32(emask)).astype(np.uint32))
-              & 1).astype(np.int64)
-    c_oe = ((np.bitwise_count(golay.OCTAD_MASKS & np.uint32(emask)) >> 1) & 1).astype(np.int64)
+    t = np.arange(64, dtype=np.int32)[None, :]
+    pair_e = np.bitwise_count(golay.SUB_REP & np.uint32(emask)) & 1
+    c_oe = (np.bitwise_count(golay.OCTAD_MASKS & np.uint32(emask)) >> 1) & 1
     if tag == "x":
         t_img_t, t_sgn = t, c_oe[:, None] ^ pair_e
     else:
         to = golay.suboctad_of_mask_vec(
             np.arange(759), golay.OCTAD_MASKS.astype(np.int64) & emask)
-        t_img_t = t ^ to[:, None]
+        t_img_t = t ^ to.astype(np.int32)[:, None]
         t_sgn = pair_e if tag == "y" else c_oe[:, None]
 
     # row maps on the 2048 code classes
@@ -298,7 +344,7 @@ def _xyz_maps(tag: str, e13: int):
     c_ce_c0 = ((np.bitwise_count((_CLASS_MASKS & emask).astype(np.uint64)) >> 1) & 1).astype(np.int64)
 
     colsel = ((emask >> np.arange(24)) & 1).astype(np.int64)
-    zero24 = np.zeros(24, dtype=np.int64)
+    id24, zero24 = np.arange(24), np.zeros(24, dtype=np.int64)
 
     # B/C (index n of B, 276 + n of C): x_e negates the pairs split by e;
     # y_e and z_e also swap B and C on those pairs, y_e with a sign
@@ -309,29 +355,28 @@ def _xyz_maps(tag: str, e13: int):
     bc_sgn = np.tile(flip * (tag != "z"), 2)
 
     if tag == "x":
-        xmap = (chi_id, c_ce_c0, colsel)                        # X
+        xmap = ("X", chi_id, c_ce_c0, colsel)                   # X
         zmap = ("Z", chi_xor, se ^ pe ^ th_ce_c0, zero24)       # Z <- (e^-1 d)
         ymap = ("Y", chi_xor, se ^ pe ^ th_ce_c0 ^ bflip, zero24)
     elif tag == "y":
-        xmap = (chi_xor, se ^ th_c0_ce, zero24)                 # X: d -> d e
+        xmap = ("X", chi_xor, se ^ th_c0_ce, zero24)            # X: d -> d e
         zmap = ("Z", chi_xor, se ^ th_c0_ce, colsel)            # (d e)^+
         ymap = ("Y", chi_id, c_ce_c0, colsel)                   # (e^-1 d e)^-
     else:
-        xmap = (chi_xor, se ^ pe ^ th_ce_c0, colsel)            # X: d -> e^-1 d
+        xmap = ("X", chi_xor, se ^ pe ^ th_ce_c0, colsel)       # X: d -> e^-1 d
         zmap = ("Z", chi_id, c_ce_c0, colsel)                   # (e^-1 d e)^+
         ymap = ("Y", chi_xor, se ^ th_c0_ce ^ bflip, colsel)    # (d e)^-
 
-    return dict(
-        t_img_o=o, t_img_t=t_img_t, t_sgn=t_sgn,              # broadcast to 759 x 64
-        x_row=(xmap[0], xmap[1]), x_col=(np.arange(24), xmap[2]),
-        z_dst=zmap[0], z_row=(zmap[1], zmap[2]), z_col=(np.arange(24), zmap[3]),
-        y_dst=ymap[0], y_row=(ymap[1], ymap[2]), y_col=(np.arange(24), ymap[3]),
-        a=(np.arange(24), zero24 if tag == "x" else colsel),    # A -> s A s
-        bc=(bc_img, bc_sgn), x_par=0,
+    return _Maps(
+        a=(id24, _bits(zero24 if tag == "x" else colsel)),     # A -> s A s
+        bc=(bc_img, _bits(bc_sgn)),
+        t=_t_map(np.arange(759), t_img_t, t_sgn),
+        xzy={blk: _xzy_map(dst, rimg, rsgn, id24, csgn)
+             for blk, (dst, rimg, rsgn, csgn) in zip("XZY", (xmap, zmap, ymap))},
     )
 
 
-def _pi_maps(pi: StdAutomorphism):
+def _pi_maps(pi: StdAutomorphism) -> _Maps:
     par = aut_pl.parity(pi)
     images = pi.perm.images
     img24 = np.array(images, dtype=np.int64)
@@ -344,14 +389,14 @@ def _pi_maps(pi: StdAutomorphism):
     rep_img = golay.permute_mask_vec(golay.SUB_REP[:, [1, 2, 4, 8, 16, 32]].ravel(), images)
     basis_img = golay.suboctad_of_mask_vec(
         np.repeat(oct_img, 6), rep_img.astype(np.int64)).reshape(759, 6)
-    t_img_t = np.zeros((759, 64), dtype=np.int64)
+    t_img_t = np.zeros((759, 64), dtype=np.int32)
     for j in range(6):
         b = 1 << j
         t_img_t[:, b:2 * b] = t_img_t[:, :b] ^ basis_img[:, j:j + 1]
     oct_sign = (aut_pl.apply_value_vec(pi, golay.OCTAD_COORDS.astype(np.int64)) >> 12) & 1
     # the suboctad label carries Omega^{|delta|/2}, and Omega -> -Omega when
     # the automorphism is odd
-    t_sgn = oct_sign[:, None] ^ (par * _SUB_N64)[None, :]
+    t_sgn = _bits(oct_sign)[:, None] ^ _bits(par * _SUB_N64)
 
     w = aut_pl.apply_value_vec(pi, _CLASS_COORDS)
     wc, ws = w & 0xFFF, (w >> 12) & 1
@@ -361,82 +406,100 @@ def _pi_maps(pi: StdAutomorphism):
     pair_img = qx_leech._PAIR_IDX[img24[_PAIR_I], img24[_PAIR_J]].astype(np.int64)
     zero24 = np.zeros(24, dtype=np.int64)
 
-    maps = dict(
-        t_img_o=oct_img[:, None], t_img_t=t_img_t, t_sgn=t_sgn,
-        x_row=(chi_img, ws), x_col=(img24, zero24),
-        # odd automorphisms also sign X coordinate (d, i) by P(d) + <d, i>
-        x_par=par,
-        a=(img24, zero24),
+    # odd automorphisms swap Z and Y; the minus block Y carries the sign
+    # of the canonical class representative
+    zy_dst = {"Z": "Z", "Y": "Y"} if par == 0 else {"Z": "Y", "Y": "Z"}
+    xzy = {blk: _xzy_map(dst, chi_img, ws ^ bflip * (dst == "Y"), img24, zero24)
+           for blk, dst in zy_dst.items()}
+    # odd automorphisms also sign X coordinate (d, i) by P(d) + <d, i>
+    xzy["X"] = ("X", chi_img, img24, _bits(ws)[:, None] ^ _CLASS_PDI * np.uint8(par))
+    return _Maps(
+        a=(img24, _bits(zero24)),
         bc=(np.concatenate((pair_img, 276 + pair_img)),
-            np.repeat([0, par], 276)),                  # C negated when odd
+            _bits(np.repeat([0, par], 276))),                  # C negated when odd
+        t=_t_map(oct_img, t_img_t, t_sgn),
+        xzy=xzy,
     )
-    if par == 0:
-        maps["z_dst"], maps["z_row"] = "Z", (chi_img, ws)
-        maps["y_dst"], maps["y_row"] = "Y", (chi_img, ws ^ bflip)
-    else:
-        maps["z_dst"], maps["z_row"] = "Y", (chi_img, ws ^ bflip)
-        maps["y_dst"], maps["y_row"] = "Z", (chi_img, ws)
-    maps["z_col"] = maps["y_col"] = (img24, zero24)
-    return maps
 
 
-def _mono_table(p: int, maps) -> GatherTable:
-    """Pull table of a monomial atom over the whole vector."""
+def _atom_maps(at: GeneratorAtom) -> _Maps:
+    if at.tag in ("x", "y", "z"):
+        return _xyz_maps(at.tag, at.payload)
+    if at.tag == "p":
+        return _pi_maps(at.payload)
+    return _pi_maps(StdAutomorphism(CocodeElement(at.payload), aut_pl.IDENTITY_PERM))
+
+
+def _then(f, g):
+    """(image, sign bits) of the map f followed by the map g."""
+    img, sgn = f
+    return g[0].take(img), sgn ^ g[1].take(img)
+
+
+def _compose(f: _Maps, g: _Maps) -> _Maps:
+    """The monomial map f followed by g."""
+    xzy = {}
+    for blk, (dst, row, col, sgn) in f.xzy.items():
+        dst2, row2, col2, sgn2 = g.xzy[dst]
+        xzy[blk] = (dst2, row2.take(row), col2.take(col),
+                    sgn ^ sgn2.take(row, axis=0).take(col, axis=1))
+    return _Maps(_then(f.a, g.a), _then(f.bc, g.bc), _then(f.t, g.t), xzy)
+
+
+def _mono_table(p: int, maps: _Maps) -> GatherTable:
+    """Pull table of a monomial map over the whole vector."""
     src = np.empty(DIM, dtype=np.int32)
-    neg = np.empty(DIM, dtype=np.uint8)
+    bits = np.empty(DIM, dtype=np.uint8)
 
     # A/B/C/T: scatter the push maps, coordinate c -> +-dst[c] for c < _X.
     # Both entries (i, j) and (j, i) of A write the same coordinate alike.
-    (a_img, a_sgn), (bc_img, bc_sgn) = maps["a"], maps["bc"]
-    dst = np.concatenate((_A_IDX[a_img[:, None], a_img].ravel(), _B + bc_img,
-                          (_T + 64 * maps["t_img_o"] + maps["t_img_t"]).ravel()))
-    sgn = np.concatenate(((a_sgn[:, None] ^ a_sgn).ravel(), bc_sgn,
-                          np.broadcast_to(maps["t_sgn"], (759, 64)).ravel()))
+    (a_img, a_sgn), (bc_img, bc_sgn), (t_img, t_sgn) = maps.a, maps.bc, maps.t
+    dst = np.concatenate((_A_IDX[a_img[:, None], a_img].ravel(), _B + bc_img, _T + t_img))
     src[dst] = np.concatenate((_A_IDX.ravel(), np.arange(_B, _X)))
-    neg[dst] = (sgn & 1) * p
+    bits[dst] = np.concatenate(((a_sgn[:, None] ^ a_sgn).ravel(), bc_sgn, t_sgn))
 
     # X/Z/Y: invert the row and column maps; the source index is an outer
-    # sum over (row, point) and the sign an outer XOR
-    base = {"X": _X, "Z": _Z, "Y": _Y}
-    for blk, dname, (rimg, rsgn), (cimg, csgn) in (
-            ("X", "X", maps["x_row"], maps["x_col"]),
-            ("Z", maps["z_dst"], maps["z_row"], maps["z_col"]),
-            ("Y", maps["y_dst"], maps["y_row"], maps["y_col"])):
+    # sum over (row, point) and the sign the source sign bits reordered
+    for blk, (dname, rimg, cimg, sgn) in maps.xzy.items():
         rinv, cinv = np.empty(2048, dtype=np.int64), np.empty(24, dtype=np.int64)
         rinv[rimg], cinv[cimg] = np.arange(2048), np.arange(24)
-        view = np.s_[base[dname]:base[dname] + 49152]
-        np.add((base[blk] + 24 * rinv)[:, None], cinv, out=src[view].reshape(2048, 24))
-        sg = rsgn[rinv][:, None] ^ csgn[cinv]
-        if blk == "X" and maps["x_par"]:
-            # odd automorphisms also sign X coordinate (d, i) by P(d) + <d, i>
-            sg = sg ^ _CLASS_P[rinv][:, None] ^ (_CLASS_MASKS[rinv][:, None] >> cinv)
-        neg[view] = ((sg & 1) * p).ravel()
-    return GatherTable(src, neg)
+        view = np.s_[_BASE[dname]:_BASE[dname] + 49152]
+        np.add((_BASE[blk] + 24 * rinv)[:, None], cinv, out=src[view].reshape(2048, 24))
+        bits[view] = sgn.take(rinv, axis=0).take(cinv, axis=1).ravel()
+    bits *= np.uint8(p)
+    return GatherTable(src, bits)
+
+
+@dataclass(frozen=True)
+class MonomialRun:
+    """A run of monomial atoms of a word, applied as one signed permutation."""
+    atoms: tuple
+
+    def key(self):
+        if len(self.atoms) == 1:
+            return self.atoms[0].key()      # a one-atom run keys as its atom
+        return tuple(at.key() for at in self.atoms)
 
 
 _MONO_CACHE = {}
 
 
-def _monomial_gather(p: int, at: GeneratorAtom) -> GatherTable:
+def _monomial_gather(p: int, at) -> GatherTable:
+    """Pull table mod p of a monomial atom or of a MonomialRun; a run
+    of one atom shares its atom's cache entry."""
     key = (p, at.key())
     hit = _MONO_CACHE.get(key)
     if hit is not None:
         return hit
-    if at.tag in ("x", "y", "z"):
-        maps = _xyz_maps(at.tag, at.payload)
-    elif at.tag == "p":
-        maps = _pi_maps(at.payload)
-    else:
-        maps = _pi_maps(StdAutomorphism(CocodeElement(at.payload),
-                                        aut_pl.IDENTITY_PERM))
-    table = _mono_table(p, maps)
+    atoms = at.atoms if isinstance(at, MonomialRun) else (at,)
+    table = _mono_table(p, reduce(_compose, map(_atom_maps, atoms)))
     if len(_MONO_CACHE) > 128:
         _MONO_CACHE.clear()
     _MONO_CACHE[key] = table
     return table
 
 
-def _apply_monomial(v: MmVector, at: GeneratorAtom) -> MmVector:
+def _apply_monomial(v: MmVector, at) -> MmVector:
     out = MmVector(v.mod, np.empty_like(v.buf))
     gather_signed(out.buf, v.buf, _monomial_gather(v.p, at))
     return out
@@ -448,8 +511,8 @@ def _apply_monomial(v: MmVector, at: GeneratorAtom) -> MmVector:
 @lru_cache(maxsize=8)
 def _tau_masks(p: int):
     # (-1)^{<d,i>} and (-1)^{P(d)} per (class, point) coordinate of X/Z/Y
-    di = ((_CLASS_MASKS[:, None] >> np.arange(24)) & 1).astype(np.uint8) * np.uint8(p)
-    pp = np.broadcast_to((_CLASS_P[:, None] & 1).astype(np.uint8) * np.uint8(p), (2048, 24))
+    di = _CLASS_DI * np.uint8(p)
+    pp = np.broadcast_to(_CLASS_PBIT[:, None] * np.uint8(p), (2048, 24))
     # x_tau signs of the suboctads and their parity reindex
     t_neg = np.where(_SUB_N64 != 0, p, 0).astype(np.uint16)[:, None]
     reindex = np.where(_SUB_PAR == 1, np.arange(64) ^ 63, np.arange(64))
@@ -650,7 +713,7 @@ def apply_xi(v: MmVector, e: int) -> MmVector:
 # Dispatch
 
 def apply_atom(v: MmVector, at: GeneratorAtom) -> MmVector:
-    if at.tag in ("x", "y", "z", "p", "d"):
+    if at.tag in _MONOMIAL_TAGS:
         return _apply_monomial(v, at)
     if at.tag == "t":
         return apply_tau(v, at.payload)
@@ -666,6 +729,12 @@ def apply_pi(v: MmVector, pi: StdAutomorphism) -> MmVector:
 
 
 def apply_word(v: MmVector, word) -> MmVector:
-    for at in word:
-        v = apply_atom(v, at)
+    """Apply the atoms of word left to right; each maximal run of
+    monomial atoms acts as one signed permutation."""
+    for monomial, atoms in groupby(word, lambda at: at.tag in _MONOMIAL_TAGS):
+        if monomial:
+            v = _apply_monomial(v, MonomialRun(tuple(atoms)))
+        else:
+            for at in atoms:
+                v = apply_atom(v, at)
     return v

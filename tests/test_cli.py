@@ -159,6 +159,18 @@ def test_bench_smoke(capsys):
     assert "kernels vs scalar reference" in out
 
 
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_bench_rejects_nonpositive_reps(reps, capsys):
+    """A repetition count below 1 is a usage error (exit code 2), not a
+    ZeroDivisionError traceback."""
+    with pytest.raises(SystemExit) as exc:
+        mm_cli.main(["bench", "--p", "3", "--reps", reps, "--word-class", "tau"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --reps: must be a positive integer" in err
+    assert "Traceback" not in err
+
+
 def test_python_dash_m_entry_point():
     """``python -m monsterrep`` runs the CLI without runpy's warning."""
     import os

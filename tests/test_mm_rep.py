@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monsterrep import aut_pl, golay, mm_rep as mr, parker_loop as pl, qx_leech as qx
 from monsterrep import modp_core, scalar_ref
+from monsterrep._rng import CounterRng
 from monsterrep.mm_rep import GeneratorAtom as A
 
 ALL_P = modp_core.ALLOWED_P
@@ -429,15 +432,53 @@ def test_check_vector_rejects():
         mr.check_vector(mr.MmVector(v.mod, v.buf.astype(np.uint64)))
 
 
+# a run of 1-6 monomial atoms, then tau or xi; the word may end in a run
+_RUN = st.lists(st.sampled_from("xyzdp"), min_size=1, max_size=6).map("".join)
+_WORD_TAGS = st.tuples(st.lists(st.tuples(_RUN, st.sampled_from("tl")), max_size=3),
+                       st.one_of(st.just(""), _RUN))
+
+
+@pytest.mark.parametrize("p", ALL_P)
+@settings(max_examples=4, deadline=None)
+@given(tags=_WORD_TAGS, seed=st.integers(0, 2**32))
+def test_compiled_runs_equal_atoms(p, tags, seed):
+    """apply_word, which applies each maximal run of monomial atoms as one
+    composed signed permutation, equals applying the atoms one by one."""
+    pieces, tail = tags
+    rng = CounterRng(seed)
+    word = [_random_atom(rng, tag) for tag in "".join(r + s for r, s in pieces) + tail]
+    v = mr.rand(p, seed % 1000)
+    w = mr.apply_word(v, word)
+    mr.check_vector(w)
+    assert w == _apply_checked(v, word)
+
+
+def test_monomial_cache_keys(rng):
+    """A word with a 3-atom run adds one table, keyed (p, run key); a
+    single atom keys (p, atom key), as does a run of one atom."""
+    mr._MONO_CACHE.clear()
+    v = mr.rand(7, 90)
+    run = (A("y", 0x7b1), A("p", aut_pl.random_automorphism(rng)), A("d", 0x29c))
+    mr.apply_word(v, [A("t", 1), *run, A("l", 1)])
+    assert list(mr._MONO_CACHE) == [(7, tuple(at.key() for at in run))]
+    assert mr.MonomialRun(run).key() == tuple(at.key() for at in run)
+    mr.apply_atom(v, run[0])
+    assert list(mr._MONO_CACHE)[1:] == [(7, run[0].key())]
+    assert mr.MonomialRun(run[:1]).key() == run[0].key()
+    mr.apply_word(v, [A("l", 1), run[0], A("t", 1)])
+    assert len(mr._MONO_CACHE) == 2
+
+
 @pytest.mark.parametrize("p", [3, 255])
 def test_monomial_tables_are_signed_permutations(p, rng):
-    """The pull table of every monomial tag is a permutation of all
-    coordinates with a sign mask of 0 or p."""
-    for tag in "xyzdp":
-        for _ in range(2):
-            tab = mr._monomial_gather(p, _random_atom(rng, tag))
-            assert np.array_equal(np.sort(tab.src), np.arange(mr.DIM))
-            assert set(np.unique(tab.neg).tolist()) <= {0, p}
+    """The pull table of every monomial tag, and of a composed run of all
+    of them, is a permutation of all coordinates with a sign mask of 0 or
+    p."""
+    atoms = [_random_atom(rng, tag) for tag in "xyzdp" for _ in range(2)]
+    for at in atoms + [mr.MonomialRun(tuple(atoms))]:
+        tab = mr._monomial_gather(p, at)
+        assert np.array_equal(np.sort(tab.src), np.arange(mr.DIM))
+        assert set(np.unique(tab.neg).tolist()) <= {0, p}
 
 
 def _small_blocks(c, at, p):
@@ -489,9 +530,9 @@ def test_small_blocks_closed_form(p, rng):
 
 
 def test_pi_suboctad_images(rng):
-    """t_img_t[o, t] is the suboctad of the permuted representative of
-    (o, t) in the image octad, for all 64 t on sampled octads of even and
-    odd automorphisms."""
+    """The T image of (o, t) is the suboctad of the permuted
+    representative of (o, t) in the image octad, for all 64 t on sampled
+    octads of even and odd automorphisms."""
     odd = golay.syndrome(1).coords
     for k in range(6):
         pi = aut_pl.random_automorphism(rng)
@@ -499,8 +540,8 @@ def test_pi_suboctad_images(rng):
             pi = aut_pl.StdAutomorphism(golay.CocodeElement(pi.diag.coords ^ odd), pi.perm)
         assert aut_pl.parity(pi) == k % 2
         images = pi.perm.images
-        maps = mr._pi_maps(pi)
-        oct_img, t_img = maps["t_img_o"][:, 0], maps["t_img_t"]
+        img = mr._pi_maps(pi).t[0].reshape(759, 64)
+        oct_img, t_img = img[:, 0] // 64, img % 64
         for o in rng.ints(50, 759):
             o, o_img = int(o), int(oct_img[o])
             assert golay.OCTAD_MASKS[o_img] == golay.permute_mask(int(golay.OCTAD_MASKS[o]), images)
