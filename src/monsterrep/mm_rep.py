@@ -25,8 +25,9 @@ Generator words act through four kernel families:
   run and applied by one gather;
 * the triality generator mixes (A_ij, B_ij, C_ij) by a 3x3 matrix with
   halving, rotates X -> Y -> Z -> X with sign masks, and applies H_64 / 8
-  (``modp_core.hadamard_words``: six butterfly layers, three halved) to
-  the 64 suboctads of each octad of T;
+  (``modp_core.hadamard_words``: a division by 8, six exact int16
+  butterfly layers and one reduction mod p) to the 64 suboctads of each
+  octad of T;
 * the extra generator acts monomially on B/C/T/X through conjugation in
   the extraspecial group, by 4x4 column blocks on A, and on Z/Y by
   H_16 (x) H_4 = H_64 / 8, the same kernel, between two signed gathers
@@ -44,7 +45,7 @@ import numpy as np
 from . import _rng, aut_pl, golay, modp_core, qx_leech
 from ._kernels import GatherTable, gather_signed, pull_map
 from .aut_pl import StdAutomorphism
-from .golay import CocodeElement, EXPAND
+from .golay import EXPAND
 from .modp_core import Modulus, modulus
 from .parker_loop import PMAP_TABLE, THETA, ParkerLoopElement
 from .qx_leech import SHORT_VALUES, class_to_coords, coords_to_class
@@ -422,12 +423,34 @@ def _pi_maps(pi: StdAutomorphism) -> _Maps:
     )
 
 
+def _delta_maps(delta: int) -> _Maps:
+    """Maps of the diagonal automorphism nu_delta, the automorphism with
+    diagonal part delta and the identity permutation: no coordinate moves.
+    Loop element d is negated by <d, delta>; an odd delta also negates C,
+    swaps Z and Y and signs X as an odd automorphism does."""
+    par = int(golay.pair_bits(golay.OMEGA_COORDS, delta))
+    id24, chi_id = np.arange(24, dtype=np.int64), np.arange(2048)
+    oct_sign = golay.pair_bits(golay.OCTAD_COORDS, delta)
+    ws = golay.pair_bits(_CLASS_COORDS, delta)[:, None]
+    zy_dst = {"Z": "Z", "Y": "Y"} if par == 0 else {"Z": "Y", "Y": "Z"}
+    xzy = {blk: (dst, chi_id, id24, np.broadcast_to(ws, (2048, 24)))
+           for blk, dst in zy_dst.items()}
+    xzy["X"] = ("X", chi_id, id24, ws ^ _CLASS_PDI * np.uint8(par))
+    return _Maps(
+        a=(id24, np.zeros(24, dtype=np.uint8)),
+        bc=(np.arange(552), _bits(np.repeat([0, par], 276))),
+        t=_t_map(np.arange(759), np.arange(64, dtype=np.int32)[None, :],
+                 oct_sign[:, None] ^ _bits(par * _SUB_N64)),
+        xzy=xzy,
+    )
+
+
 def _atom_maps(at: GeneratorAtom) -> _Maps:
     if at.tag in ("x", "y", "z"):
         return _xyz_maps(at.tag, at.payload)
     if at.tag == "p":
         return _pi_maps(at.payload)
-    return _pi_maps(StdAutomorphism(CocodeElement(at.payload), aut_pl.IDENTITY_PERM))
+    return _delta_maps(at.payload)
 
 
 def _then(f, g):
@@ -679,6 +702,14 @@ def _xi_maps(e: int):
             pull_map(coord - _Z, perm[pos // 384] * 384 + pos % 384, sign ^ post[row]))
 
 
+@lru_cache(maxsize=2)
+def _xi24(e: int):
+    """Twice the 24x24 matrix of xi^e (integer entries), read-only."""
+    M = qx_leech.xi24_matrix_num(e)
+    M.flags.writeable = False
+    return M
+
+
 @lru_cache(maxsize=16)
 def _xi_tables(p: int, e: int):
     """Pull tables of xi^e mod p for B/C/T/X, Z/Y forward and Z/Y back:
@@ -694,7 +725,7 @@ def apply_xi(v: MmVector, e: int) -> MmVector:
 
     # A: congruence with the block-diagonal 24x24 matrix, exact integers
     A = lay.extract(v.buf, _A_IDX)
-    M = qx_leech.xi24_matrix_num(e)
+    M = _xi24(e)
     lay.inject(out.buf, _A_IDX, (M.T @ A @ M) * pow(4, -1, p) % p)
 
     # B/C/T/X: signed permutation from conjugation in the extraspecial group

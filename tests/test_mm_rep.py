@@ -548,3 +548,18 @@ def test_pi_suboctad_images(rng):
             for t in range(64):
                 rep = golay.permute_mask(int(golay.SUB_REP[o, t]), images)
                 assert t_img[o, t] == golay.suboctad_of_mask(o_img, rep), (k, o, t)
+
+
+@pytest.mark.parametrize("p", ALL_P)
+def test_delta_maps_equal_pi_route(p, rng):
+    """The direct diagonal maps of nu_delta give tables byte-identical to
+    the full automorphism maps with the identity permutation, for sampled
+    even and odd delta."""
+    deltas = [0, golay.syndrome(1).coords] + [int(d) for d in rng.ints(6, 4096)]
+    assert {golay.CocodeElement(d).weight % 2 for d in deltas} == {0, 1}
+    for d in deltas:
+        pi = aut_pl.diag_automorphism(golay.CocodeElement(d))
+        got = mr._mono_table(p, mr._delta_maps(d))
+        want = mr._mono_table(p, mr._pi_maps(pi))
+        for a, b in ((got.src, want.src), (got.neg, want.neg)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), d

@@ -12,6 +12,15 @@ def _u16(vals):
     return np.asarray(vals, dtype=np.uint16)
 
 
+def _butterfly(a, b):
+    """butterfly_words on int16 copies of a and b into fresh outputs."""
+    a, b = np.asarray(a).astype(np.int16), np.asarray(b).astype(np.int16)
+    s, d = np.empty_like(a), np.empty_like(a)
+    out = mc.butterfly_words(a, b, s, d)
+    assert out[0] is s and out[1] is d
+    return s, d
+
+
 def _res(a, p):
     """Residues 0..p-1 of values 0..p (the alias p reads as 0)."""
     a = np.asarray(a)
@@ -71,12 +80,10 @@ def test_lane_ops_exhaustive(p):
     assert np.array_equal(_res(mc.neg_words(a, m), p), (-ia) % p)
     half = (p + 1) // 2
     assert np.array_equal(_res(mc.halve_words(a, m), p), ia * half % p)
-    s, d = mc.butterfly_words(a, b, m)
-    assert np.array_equal(_res(s, p), (ia + ib) % p)
-    assert np.array_equal(_res(d, p), (ia - ib) % p)
-    s, d = mc.butterfly_words(a, b, m, scale_half=True)
-    assert np.array_equal(_res(s, p), (ia + ib) * half % p)
-    assert np.array_equal(_res(d, p), (ia - ib) * half % p)
+    s, d = _butterfly(a, b)
+    assert np.array_equal(s, ia + ib) and np.array_equal(d, ia - ib)
+    assert np.array_equal(s % p, (ia + ib) % p)
+    assert np.array_equal(d % p, (ia - ib) % p)
 
 
 def test_add_examples():
@@ -95,12 +102,12 @@ def test_neg_halve_examples():
 
 
 def test_butterfly_examples():
-    m7 = mc.modulus(7)
-    s, d = mc.butterfly_words(_u16([3]), _u16([5]), m7)
-    assert (_res(s, 7).tolist(), _res(d, 7).tolist()) == ([1], [5])
-    m3 = mc.modulus(3)
-    s, d = mc.butterfly_words(_u16([1]), _u16([1]), m3, scale_half=True)
-    assert (_res(s, 3).tolist(), _res(d, 3).tolist()) == ([1], [0])
+    s, d = _butterfly(_u16([3]), _u16([5]))
+    assert (s.tolist(), d.tolist()) == ([8], [-2])
+    assert ((s % 7).tolist(), (d % 7).tolist()) == ([1], [5])
+    # a = b = 255 at p = 255: the exact sum needs 9 bits, the difference 0
+    s, d = _butterfly(_u16([255, 0]), _u16([255, 255]))
+    assert (s.tolist(), d.tolist()) == ([510, 255], [0, -255])
 
 
 @pytest.mark.parametrize("p", ALL_P)
@@ -110,9 +117,10 @@ def test_involutions_and_inverses(p, rng):
     assert np.array_equal(mc.neg_words(mc.neg_words(f, m), m), f)
     h = mc.halve_words(f, m)
     assert np.array_equal(_res(mc.add_words(h, h, m), p), _res(f, p))
-    s, d = mc.butterfly_words(f, _u16(rng.ints(1000, p + 1)), m, scale_half=True)
-    s2, d2 = mc.butterfly_words(s, d, m)
-    assert np.array_equal(_res(s2, p), _res(f, p))
+    g = _u16(rng.ints(1000, p + 1))
+    s2, d2 = _butterfly(*_butterfly(f, g))
+    assert np.array_equal(s2, 2 * f.astype(np.int64))
+    assert np.array_equal(d2, 2 * g.astype(np.int64))
 
 
 def test_modulus_mismatch():
@@ -159,17 +167,22 @@ def test_pads_stay_aliased(p, rng):
 @pytest.mark.parametrize("p", ALL_P)
 def test_hadamard_words_matches_sylvester(p):
     """hadamard_words is H_64 / 8 mod p along axis 0, element-wise, with
-    the alias p read as 0 and a trailing axis carried along."""
+    the alias p read as 0 and a trailing axis carried along, at the edge
+    of its int16 headroom too; applied twice it gives back the input."""
     m = mc.modulus(p)
     rng = np.random.default_rng(p)
-    vals = rng.integers(0, p + 1, size=(64, 3, 2), dtype=np.uint16)
-    vals[:, 0, 0] = p                           # a whole alias column
-    x = vals.astype(np.int64) % p
-    assert mc.hadamard_words(vals, m) is vals
     idx = np.arange(64)
     H = 1 - 2 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(np.int64)
+    vals = rng.integers(0, p + 1, size=(64, 4, 2), dtype=np.uint16)
+    vals[:, 0, 0] = p           # a whole alias column: 64p in row 0 before reduction
+    # (p - 1) times rows of H_64: H_64 takes each to 64(p - 1) in that row
+    vals[:, 1:, 1] = (p - 1) * H[[0, 21, 63]].T % p
+    x = vals.astype(np.int64) % p
+    assert mc.hadamard_words(vals, m) is vals
     want = np.tensordot(H, x, axes=(1, 0)) * pow(8, -1, p) % p
     assert np.array_equal(_res(vals, p), want)
+    mc.hadamard_words(vals, m)
+    assert np.array_equal(_res(vals, p), x)
 
 
 def test_hadamard_words_rejects_bad_arrays():

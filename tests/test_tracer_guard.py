@@ -3,8 +3,9 @@ wraps functions and reads ``_MONO_CACHE``, and its worker calls
 ``mm_rep.layout`` and records ``_kernels.jit_enabled``/``HAVE_NUMBA``.
 These tests run every such name under the installed tracer.  Some of the
 names (``layout``, ``jit_enabled``, ``HAVE_NUMBA``,
-``GatherTable.dst_word``) stay in the package only because perfbench/
-names them; removing them waits for a change to the benchmark."""
+``GatherTable.dst_word``, ``modp_core.halve_words``) stay in the package
+only because perfbench/ names them; removing them waits for a change to
+the benchmark."""
 import importlib.util
 import os
 
