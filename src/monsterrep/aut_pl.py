@@ -22,8 +22,7 @@ from itertools import permutations
 import numpy as np
 
 from . import golay
-from .golay import (BASIS, LIGHTEST, CocodeElement, permute_mask,
-                    permute_mask_vec, syndrome_mask_vec)
+from .golay import BASIS, LIGHTEST, CocodeElement, permute_mask, syndrome_mask
 from .parker_loop import THETA, ParkerLoopElement
 
 
@@ -64,13 +63,18 @@ def _perm_tables(images: tuple):
     """(code image table, cocode image table, qform table) for a code
     automorphism, or raises NotInM24Error.
 
+    Both image tables are GF(2)-linear, so each doubles on the highest
+    bit from the image of one basis vector per step: the code table from
+    b_j, the cocode table from the lightest representative of the j-th
+    cocode basis vector.
+
     q is the quadratic form with q(b_j) = 0 whose polarization is
 
         B(c, e) = theta(c^perm, e^perm) + theta(c, e).
 
     B is linear in e, and symmetric because theta(c, e) + theta(e, c) =
     |c & e|/2 is invariant under the permutation; so it is bilinear.
-    Hence q doubles on the highest bit: for b = 2^j and r < b,
+    Hence q doubles the same way: for b = 2^j and r < b,
     q(r + b) = q(r) + B(r, b), twelve vectorized steps."""
     basis_imgs = []
     for b in BASIS:
@@ -81,15 +85,16 @@ def _perm_tables(images: tuple):
             raise NotInM24Error(
                 "permutation does not preserve the Golay code") from None
     code_img = np.zeros(4096, dtype=np.uint16)
+    cocode_img = np.zeros(4096, dtype=np.uint16)
     q = np.zeros(4096, dtype=np.uint8)
     for j in range(12):
         b = 1 << j
         code_img[b:2 * b] = code_img[:b] ^ np.uint16(basis_imgs[j])
+        cocode_img[b:2 * b] = cocode_img[:b] ^ np.uint16(
+            syndrome_mask(permute_mask(int(LIGHTEST[b]), images)))
         beta = (np.bitwise_count(THETA[code_img[:b]] & code_img[b])
                 ^ np.bitwise_count(THETA[:b] & np.uint16(b)))
         q[b:2 * b] = q[:b] ^ (beta & 1)
-
-    cocode_img = syndrome_mask_vec(permute_mask_vec(LIGHTEST, images))
     return code_img, cocode_img, q
 
 

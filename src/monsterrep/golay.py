@@ -221,13 +221,6 @@ def compress(v: int) -> GolayCodeword:
     return GolayCodeword(int(_MASK_ORDER[i]))
 
 
-def compress_vec(masks: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(_MASKS_SORTED, masks)
-    if not np.array_equal(_MASKS_SORTED[idx], masks):
-        raise ValueError("non-codeword in batch")
-    return _MASK_ORDER[idx].astype(np.uint16)
-
-
 def syndrome(v: int) -> CocodeElement:
     return CocodeElement(syndrome_mask(v))
 
@@ -431,9 +424,3 @@ def permute_mask(v: int, images) -> int:
             out |= 1 << images[i]
     return out
 
-
-def permute_mask_vec(v: np.ndarray, images) -> np.ndarray:
-    out = np.zeros(v.shape, dtype=np.uint32)
-    for i in range(24):
-        out |= ((v >> np.uint32(i)) & 1).astype(np.uint32) << np.uint32(images[i])
-    return out

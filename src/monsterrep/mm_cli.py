@@ -134,6 +134,11 @@ def cmd_apply(args) -> int:
     return 0
 
 
+# the atom names of ``_bench_atoms`` up to the exponent: a class names the
+# atoms whose name starts with it
+WORD_CLASSES = ("x_d", "y_d", "z_d", "nu_delta", "x_pi", "tau", "xi")
+
+
 def _bench_atoms(rng_seed=2024):
     from ._rng import CounterRng
     rng = CounterRng(rng_seed)
@@ -174,8 +179,6 @@ def cmd_bench(args) -> int:
         mm_rep.apply_word(v, word)               # builds the monomial run's table
         t, _ = verify.time_ms(lambda: mm_rep.apply_word(v, word), reps)
         print(f"  G_x0-style word times xi-power ({len(word)} atoms): {t:.2f} ms")
-        print("  (tau and xi cost is dominated by H_64/8 butterfly layers, on T")
-        print("   and on xi's Z/Y tensor; a run of monomial atoms by one signed gather)")
 
     v3 = mm_rep.rand(3, 99)
     coords = v3.unpack().tolist()
@@ -259,7 +262,7 @@ def build_parser():
     bp = sub.add_parser("bench", help="time generator applications")
     bp.add_argument("--p", type=int, choices=ALLOWED_P, default=None)
     bp.add_argument("--reps", type=_positive_int, default=10)
-    bp.add_argument("--word-class", default="all")
+    bp.add_argument("--word-class", choices=("all",) + WORD_CLASSES, default="all")
     bp.set_defaults(func=cmd_bench)
 
     ip = sub.add_parser("info", help="dump tables and layouts")

@@ -19,7 +19,11 @@ is coordinate 300 + n.
 Generator words act through four kernel families:
 
 * monomial atoms (x_e / y_e / z_e and automorphism atoms) are signed
-  permutations built from the block structure; ``apply_word`` composes
+  permutations built from the block structure; x_pi and nu_delta are
+  both standard automorphisms diag * [perm] and share one builder,
+  which caches the part of the maps that depends on the permutation
+  (read from ``aut_pl``'s code image table) and adds the signs of the
+  quadratic form and the diagonal part per atom; ``apply_word`` composes
   each maximal run of them into one signed permutation of the whole
   vector, held as a pull table (``_kernels.GatherTable``) cached on the
   run and applied by one gather;
@@ -377,70 +381,74 @@ def _xyz_maps(tag: str, e13: int) -> _Maps:
     )
 
 
-def _pi_maps(pi: StdAutomorphism) -> _Maps:
-    par = aut_pl.parity(pi)
-    images = pi.perm.images
-    img24 = np.array(images, dtype=np.int64)
+# position of each point inside each octad (entries of other points unused)
+_OCTAD_POS = np.zeros((759, 24), dtype=np.uint8)
+_OCTAD_POS[np.arange(759)[:, None], golay.OCTAD_POINTS] = np.arange(8)
 
-    oct_img_masks = golay.permute_mask_vec(golay.OCTAD_MASKS, images)
-    oct_img = golay.OCTAD_INDEX_OF_COORD[
-        golay.compress_vec(oct_img_masks).astype(np.int64)].astype(np.int64)
+
+class _PermMaps(NamedTuple):
+    img24: np.ndarray       # point images
+    oct_img: np.ndarray     # octad images
+    sub_img: np.ndarray     # (759, 6) images of the basis suboctads 1 << j
+    chi_img: np.ndarray     # class images
+    bflip: np.ndarray       # canonical-representative bit of the image class
+    bc_img: np.ndarray      # B/C pair images
+
+
+@lru_cache(maxsize=8)
+def _perm_maps(images: tuple) -> _PermMaps:
+    """The part of an automorphism's maps that depends on its permutation
+    alone, read from the code image table of ``aut_pl``."""
+    code_img = aut_pl._perm_tables(images)[0]
+    img24 = np.array(images, dtype=np.int64)
+    oct_img = golay.OCTAD_INDEX_OF_COORD[code_img[golay.OCTAD_COORDS]]
+    # basis suboctad 1 << j of octad o is the pair of its points 0 and j + 1;
+    # its image is the pair at the positions of the two image points in the
+    # image octad, as a suboctad index modulo the complement (bit 7)
+    pos = _OCTAD_POS[oct_img[:, None], img24[golay.OCTAD_POINTS[:, :7]]]
+    m8 = (1 << pos[:, :1]) | (1 << pos[:, 1:])
+    sub_img = (np.where(m8 & 0x80, m8 ^ 0xFF, m8) >> 1) & 0x3F
+    wc0, bflip = _canon(code_img[_CLASS_COORDS])
+    pair_img = qx_leech._PAIR_IDX[img24[_PAIR_I], img24[_PAIR_J]]
+    maps = _PermMaps(img24, oct_img, sub_img, coords_to_class(wc0), bflip,
+                     np.concatenate((pair_img, 276 + pair_img)))
+    for arr in maps:
+        arr.flags.writeable = False
+    return maps
+
+
+def _pi_maps(pi: StdAutomorphism) -> _Maps:
+    """Maps of the automorphism diag * [perm] (x_pi, or nu_delta for the
+    identity permutation): the cached permutation part, and the signs
+    q(c) + <c, delta> of octads and classes, and the parity."""
+    pm = _perm_maps(pi.perm.images)
+    q, delta, par = pi.qform, pi.diag.coords, aut_pl.parity(pi)
+
     # t -> SUB_REP[o, t] (an XOR of pairs {pt0, pt_j}), the point map and
-    # suboctad_of_mask are GF(2)-linear: map 6 basis t, fill 64 by doubling.
-    rep_img = golay.permute_mask_vec(golay.SUB_REP[:, [1, 2, 4, 8, 16, 32]].ravel(), images)
-    basis_img = golay.suboctad_of_mask_vec(
-        np.repeat(oct_img, 6), rep_img.astype(np.int64)).reshape(759, 6)
+    # the suboctad index are GF(2)-linear: fill 64 t by doubling
     t_img_t = np.zeros((759, 64), dtype=np.int32)
     for j in range(6):
         b = 1 << j
-        t_img_t[:, b:2 * b] = t_img_t[:, :b] ^ basis_img[:, j:j + 1]
-    oct_sign = (aut_pl.apply_value_vec(pi, golay.OCTAD_COORDS.astype(np.int64)) >> 12) & 1
+        t_img_t[:, b:2 * b] = t_img_t[:, :b] ^ pm.sub_img[:, j:j + 1]
+    oct_sign = q[golay.OCTAD_COORDS] ^ golay.pair_bits(golay.OCTAD_COORDS, delta)
     # the suboctad label carries Omega^{|delta|/2}, and Omega -> -Omega when
     # the automorphism is odd
-    t_sgn = _bits(oct_sign)[:, None] ^ _bits(par * _SUB_N64)
+    t_sgn = oct_sign[:, None] ^ _bits(par * _SUB_N64)
 
-    w = aut_pl.apply_value_vec(pi, _CLASS_COORDS)
-    wc, ws = w & 0xFFF, (w >> 12) & 1
-    wc0, bflip = _canon(wc)
-    chi_img = coords_to_class(wc0)
-
-    pair_img = qx_leech._PAIR_IDX[img24[_PAIR_I], img24[_PAIR_J]].astype(np.int64)
+    ws = q[_CLASS_COORDS] ^ golay.pair_bits(_CLASS_COORDS, delta)
     zero24 = np.zeros(24, dtype=np.int64)
 
     # odd automorphisms swap Z and Y; the minus block Y carries the sign
     # of the canonical class representative
     zy_dst = {"Z": "Z", "Y": "Y"} if par == 0 else {"Z": "Y", "Y": "Z"}
-    xzy = {blk: _xzy_map(dst, chi_img, ws ^ bflip * (dst == "Y"), img24, zero24)
+    xzy = {blk: _xzy_map(dst, pm.chi_img, ws ^ pm.bflip * (dst == "Y"), pm.img24, zero24)
            for blk, dst in zy_dst.items()}
     # odd automorphisms also sign X coordinate (d, i) by P(d) + <d, i>
-    xzy["X"] = ("X", chi_img, img24, _bits(ws)[:, None] ^ _CLASS_PDI * np.uint8(par))
+    xzy["X"] = ("X", pm.chi_img, pm.img24, ws[:, None] ^ _CLASS_PDI * np.uint8(par))
     return _Maps(
-        a=(img24, _bits(zero24)),
-        bc=(np.concatenate((pair_img, 276 + pair_img)),
-            _bits(np.repeat([0, par], 276))),                  # C negated when odd
-        t=_t_map(oct_img, t_img_t, t_sgn),
-        xzy=xzy,
-    )
-
-
-def _delta_maps(delta: int) -> _Maps:
-    """Maps of the diagonal automorphism nu_delta, the automorphism with
-    diagonal part delta and the identity permutation: no coordinate moves.
-    Loop element d is negated by <d, delta>; an odd delta also negates C,
-    swaps Z and Y and signs X as an odd automorphism does."""
-    par = int(golay.pair_bits(golay.OMEGA_COORDS, delta))
-    id24, chi_id = np.arange(24, dtype=np.int64), np.arange(2048)
-    oct_sign = golay.pair_bits(golay.OCTAD_COORDS, delta)
-    ws = golay.pair_bits(_CLASS_COORDS, delta)[:, None]
-    zy_dst = {"Z": "Z", "Y": "Y"} if par == 0 else {"Z": "Y", "Y": "Z"}
-    xzy = {blk: (dst, chi_id, id24, np.broadcast_to(ws, (2048, 24)))
-           for blk, dst in zy_dst.items()}
-    xzy["X"] = ("X", chi_id, id24, ws ^ _CLASS_PDI * np.uint8(par))
-    return _Maps(
-        a=(id24, np.zeros(24, dtype=np.uint8)),
-        bc=(np.arange(552), _bits(np.repeat([0, par], 276))),
-        t=_t_map(np.arange(759), np.arange(64, dtype=np.int32)[None, :],
-                 oct_sign[:, None] ^ _bits(par * _SUB_N64)),
+        a=(pm.img24, _bits(zero24)),
+        bc=(pm.bc_img, _bits(np.repeat([0, par], 276))),        # C negated when odd
+        t=_t_map(pm.oct_img, t_img_t, t_sgn),
         xzy=xzy,
     )
 
@@ -450,7 +458,7 @@ def _atom_maps(at: GeneratorAtom) -> _Maps:
         return _xyz_maps(at.tag, at.payload)
     if at.tag == "p":
         return _pi_maps(at.payload)
-    return _delta_maps(at.payload)
+    return _pi_maps(aut_pl.diag_automorphism(golay.CocodeElement(at.payload)))
 
 
 def _then(f, g):

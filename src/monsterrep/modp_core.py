@@ -22,7 +22,7 @@ signed int16, whose values stay within +-64p <= 16320, and reduces once
 at the end.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class Modulus:
     """A modulus p = 2^k - 1."""
 
     p: int
-    k: int = 0
+    k: int = field(init=False)
 
     def __post_init__(self):
         if self.p not in ALLOWED_P:

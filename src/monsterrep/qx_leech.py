@@ -309,10 +309,7 @@ def short_index_vec(vals):
     if odd.any():
         good = (PMAP_TABLE[c[odd]].astype(np.int64)
                 ^ golay.pair_bits(c[odd], psi[odd]).astype(np.int64)) == 0
-        rep = LIGHTEST[psi[odd]]
-        i = np.zeros(len(rep), dtype=np.int64)
-        for b in range(24):
-            i[rep == (1 << b)] = b
+        i = np.bitwise_count(LIGHTEST[psi[odd]] - 1)          # its one bit
         chi = coords_to_class(canonical_code(c[odd]))
         idx[odd] = OFF_X + 24 * chi + i
         ok[odd] = good
@@ -320,15 +317,8 @@ def short_index_vec(vals):
     bc = (wpsi == 2) & ((c == 0) | (c == OMEGA_C))
     if bc.any():
         rep = LIGHTEST[psi[bc]].astype(np.int64)
-        lo = np.zeros(len(rep), dtype=np.int64)
-        hi = np.zeros(len(rep), dtype=np.int64)
-        for b in range(24):
-            have = ((rep >> b) & 1) == 1
-            hi[have] = b
-        for b in range(23, -1, -1):
-            have = ((rep >> b) & 1) == 1
-            lo[have] = b
-        pidx = _PAIR_IDX[lo, hi]
+        low = rep & -rep                                      # the lower bit
+        pidx = _PAIR_IDX[np.bitwise_count(low - 1), np.bitwise_count((rep ^ low) - 1)]
         idx[bc] = np.where(c[bc] == 0, OFF_B, OFF_C) + pidx
         ok[bc] = True
 

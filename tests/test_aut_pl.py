@@ -153,3 +153,17 @@ def test_qform_oracle(rng):
                    ^ golay.pair_bits(pl.THETA[c], b))
             assert np.array_equal(q[c ^ b] ^ q[c] ^ q[b], pol), (pi.perm, j)
         assert np.array_equal(q, _qform_per_codeword(code_img))
+
+
+def test_cocode_table_equals_scalar_image(rng):
+    """The doubled cocode image table equals the syndrome of the permuted
+    lightest representative, for every cocode element."""
+    odd = StdAutomorphism(golay.syndrome(1), aut_pl.random_perm(rng))
+    assert parity(odd) == 1
+    perms = [IDENTITY_PERM, odd.perm] + [aut_pl.random_perm(rng) for _ in range(10)]
+    for perm in perms:
+        images = perm.images
+        table = aut_pl._perm_tables(images)[1]
+        want = [golay.syndrome_mask(golay.permute_mask(int(golay.LIGHTEST[c]), images))
+                for c in range(4096)]
+        assert table.tolist() == want, images

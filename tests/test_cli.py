@@ -171,6 +171,19 @@ def test_bench_rejects_nonpositive_reps(reps, capsys):
     assert "Traceback" not in err
 
 
+def test_bench_rejects_unknown_word_class(capsys):
+    """A misspelt atom class is a usage error (exit code 2), not a run
+    that times no atom; every class names at least one bench atom."""
+    with pytest.raises(SystemExit) as exc:
+        mm_cli.main(["bench", "--p", "3", "--reps", "1", "--word-class", "tua"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --word-class: invalid choice: 'tua'" in err
+    assert "Traceback" not in err
+    names = [n for n, _ in mm_cli._bench_atoms()]
+    assert set(mm_cli.WORD_CLASSES) == {n.partition("^")[0] for n in names}
+
+
 def test_python_dash_m_entry_point():
     """``python -m monsterrep`` runs the CLI without runpy's warning."""
     import os

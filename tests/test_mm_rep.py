@@ -550,16 +550,39 @@ def test_pi_suboctad_images(rng):
                 assert t_img[o, t] == golay.suboctad_of_mask(o_img, rep), (k, o, t)
 
 
+def _closed_form_delta_maps(delta):
+    """Maps of nu_delta written out directly, independent of the
+    automorphism builder: no coordinate moves, loop element d is negated
+    by <d, delta>, and an odd delta also negates C, swaps Z and Y and signs
+    X coordinate (d, i) by P(d) + <d, i>."""
+    par = int(golay.pair_bits(golay.OMEGA_COORDS, delta))
+    id24, chi_id = np.arange(24, dtype=np.int64), np.arange(2048)
+    classes = qx.class_to_coords(np.arange(2048))
+    ws = golay.pair_bits(classes, delta)[:, None]
+    p_di = ((pl.PMAP_TABLE[classes] & 1)[:, None]
+            ^ (golay.EXPAND[classes][:, None] >> np.arange(24)) & 1).astype(np.uint8)
+    zy_dst = {"Z": "Z", "Y": "Y"} if par == 0 else {"Z": "Y", "Y": "Z"}
+    xzy = {blk: (dst, chi_id, id24, np.broadcast_to(ws, (2048, 24)))
+           for blk, dst in zy_dst.items()}
+    xzy["X"] = ("X", chi_id, id24, ws ^ p_di * np.uint8(par))
+    oct_sign = golay.pair_bits(golay.OCTAD_COORDS, delta)[:, None]
+    t_sgn = oct_sign ^ golay.SUB_NBIT[0] * np.uint8(par)
+    return mr._Maps(
+        a=(id24, np.zeros(24, dtype=np.uint8)),
+        bc=(np.arange(552), np.repeat(np.uint8([0, par]), 276)),
+        t=(np.arange(mr._X - mr._T, dtype=np.int32), t_sgn.ravel()),
+        xzy=xzy,
+    )
+
+
 @pytest.mark.parametrize("p", ALL_P)
-def test_delta_maps_equal_pi_route(p, rng):
-    """The direct diagonal maps of nu_delta give tables byte-identical to
-    the full automorphism maps with the identity permutation, for sampled
-    even and odd delta."""
+def test_delta_tables_equal_closed_form(p, rng):
+    """The pull table of a d atom is byte-identical to the table of the
+    closed-form maps of nu_delta, for sampled even and odd delta."""
     deltas = [0, golay.syndrome(1).coords] + [int(d) for d in rng.ints(6, 4096)]
     assert {golay.CocodeElement(d).weight % 2 for d in deltas} == {0, 1}
     for d in deltas:
-        pi = aut_pl.diag_automorphism(golay.CocodeElement(d))
-        got = mr._mono_table(p, mr._delta_maps(d))
-        want = mr._mono_table(p, mr._pi_maps(pi))
+        got = mr._monomial_gather(p, A("d", d))
+        want = mr._mono_table(p, _closed_form_delta_maps(d))
         for a, b in ((got.src, want.src), (got.neg, want.neg)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), d

@@ -40,6 +40,8 @@ def test_bad_modulus_rejected():
         mc.modulus(63)
     with pytest.raises(ValueError):
         mc.Modulus(5)
+    with pytest.raises(TypeError):          # k follows from p
+        mc.Modulus(3, 5)
 
 
 @pytest.mark.parametrize("p", ALL_P)
