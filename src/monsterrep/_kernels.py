@@ -17,12 +17,16 @@ def jit_enabled() -> bool:
 
 class GatherTable:
     """A signed map in pull form: destination coordinate j takes source
-    coordinate src[j], negated where neg[j] is p (it is 0 or p)."""
+    coordinate src[j], negated where neg[j] is p (it is 0 or p).  An
+    int32 or intp source index is kept as given, not copied, so tables
+    may share one; ``take`` converts an int32 index on every call, so
+    intp pays where one index serves many tables."""
 
     __slots__ = ("src", "neg")
 
     def __init__(self, src, neg):
-        self.src = np.asarray(src, dtype=np.int32)
+        src = np.asarray(src)
+        self.src = src if src.dtype in (np.int32, np.intp) else src.astype(np.int32)
         self.neg = np.asarray(neg, dtype=np.uint8)
 
     @property
@@ -39,10 +43,10 @@ def gather_signed(dst, src, table):
 
 def pull_map(dst, src, sign):
     """Pull form of push lists, free of the modulus: destination dst[i]
-    takes source src[i], negated where sign[i] is 1.  Returns the int32
+    takes source src[i], negated where sign[i] is 1.  Returns the intp
     source index and the uint8 sign bit of every destination; the
     destinations must cover 0..len(dst)-1 once."""
-    pull = np.empty(len(dst), dtype=np.int32)
+    pull = np.empty(len(dst), dtype=np.intp)
     bits = np.empty(len(dst), dtype=np.uint8)
     pull[dst] = src
     bits[dst] = np.asarray(sign) & 1

@@ -405,13 +405,24 @@ def suboctad_of_mask(o: int, rep_mask: int) -> int:
     return (m8 >> 1) & 0x3F
 
 
-def suboctad_of_mask_vec(o: np.ndarray, rep_mask: np.ndarray) -> np.ndarray:
-    pts = OCTAD_POINTS[o]                                    # (n, 8)
-    m8 = np.zeros(len(o), dtype=np.uint32)
-    for j in range(8):
-        m8 |= ((rep_mask >> pts[:, j]) & 1).astype(np.uint32) << np.uint32(j)
-    m8 = np.where(m8 & 0x80, m8 ^ 0xFF, m8)
-    return ((m8 >> 1) & 0x3F).astype(np.int64)
+def _build_suboctads_of_code_basis():
+    """(759, 12) suboctad index of each octad intersected with each basis
+    code word.  The 8-bit pattern of the intersection is linear in the
+    code word, and so is its suboctad index: bits 1..6, flipped by bit 7."""
+    basis = EXPAND[1 << np.arange(12)].astype(np.int64)
+    bits = (basis[None, :, None] >> OCTAD_POINTS[:, None, :]) & 1        # (759, 12, 8)
+    m8 = (bits << np.arange(8)).sum(axis=2)
+    return (((m8 >> 1) ^ (m8 >> 7) * 0x3F) & 0x3F).astype(np.uint8)
+
+
+_SUB_OF_CODE_BASIS = _build_suboctads_of_code_basis()
+
+
+def suboctads_of_code(c: int) -> np.ndarray:
+    """Suboctad index of every octad intersected with the code word of
+    12-bit coordinates c: the XOR of the basis images of c's set bits."""
+    return np.bitwise_xor.reduce(
+        _SUB_OF_CODE_BASIS[:, (c >> np.arange(12)) & 1 == 1], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,10 @@ Generator words act through four kernel families:
   quadratic form and the diagonal part per atom; ``apply_word`` composes
   each maximal run of them into one signed permutation of the whole
   vector, held as a pull table (``_kernels.GatherTable``) cached on the
-  run and applied by one gather;
+  run and applied by one gather; a run followed by the extra generator
+  that ``apply_word`` has seen before is instead read through that
+  generator's tables, composed with the run's into one fused cache entry,
+  so y x_pi x nu_delta xi^e takes three gathers;
 * the triality generator mixes (A_ij, B_ij, C_ij) by a 3x3 matrix with
   halving, rotates X -> Y -> Z -> X with sign masks, and applies H_64 / 8
   (``modp_core.hadamard_words``: a division by 8, six exact int16
@@ -35,13 +38,13 @@ Generator words act through four kernel families:
 * the extra generator acts monomially on B/C/T/X through conjugation in
   the extraspecial group, by 4x4 column blocks on A, and on Z/Y by
   H_16 (x) H_4 = H_64 / 8, the same kernel, between two signed gathers
-  into and out of a grey-frame tensor;
+  into and out of a grey-frame tensor; its tables share intp source
+  indices across the moduli;
 * everything else is composition.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -333,9 +336,7 @@ def _xyz_maps(tag: str, e13: int) -> _Maps:
     if tag == "x":
         t_img_t, t_sgn = t, c_oe[:, None] ^ pair_e
     else:
-        to = golay.suboctad_of_mask_vec(
-            np.arange(759), golay.OCTAD_MASKS.astype(np.int64) & emask)
-        t_img_t = t ^ to.astype(np.int32)[:, None]
+        t_img_t = t ^ golay.suboctads_of_code(ce).astype(np.int32)[:, None]
         t_sgn = pair_e if tag == "y" else c_oe[:, None]
 
     # row maps on the 2048 code classes
@@ -503,27 +504,44 @@ def _mono_table(p: int, maps: _Maps) -> GatherTable:
 
 @dataclass(frozen=True)
 class MonomialRun:
-    """A run of monomial atoms of a word, applied as one signed permutation."""
+    """A run of monomial atoms of a word, applied as one signed
+    permutation; with xi = e, the run followed by xi^e as one fused step."""
     atoms: tuple
+    xi: int | None = None
 
     def key(self):
-        if len(self.atoms) == 1:
-            return self.atoms[0].key()      # a one-atom run keys as its atom
-        return tuple(at.key() for at in self.atoms)
+        keys = tuple(at.key() for at in self.atoms)
+        if self.xi is not None:
+            return keys + (("l", self.xi),)
+        return keys[0] if len(keys) == 1 else keys     # a one-atom run keys as its atom
 
 
 _MONO_CACHE = {}
 
 
-def _monomial_gather(p: int, at) -> GatherTable:
+def _read_through(g: GatherTable, t: GatherTable) -> GatherTable:
+    """One pull table for the pull table g followed by t, which reads
+    g's output."""
+    neg = g.neg.take(t.src, mode="clip")
+    neg ^= t.neg
+    return GatherTable(g.src.take(t.src, mode="clip"), neg)
+
+
+def _monomial_gather(p: int, at):
     """Pull table mod p of a monomial atom or of a MonomialRun; a run
-    of one atom shares its atom's cache entry."""
+    of one atom shares its atom's cache entry.  For a run fused with xi^e
+    it is xi's A, B/C/T/X and Z/Y forward tables (``_xi_reads``) read
+    through the run's table, which this pops from the cache: the fused
+    entry takes its place."""
     key = (p, at.key())
     hit = _MONO_CACHE.get(key)
     if hit is not None:
         return hit
-    atoms = at.atoms if isinstance(at, MonomialRun) else (at,)
-    table = _mono_table(p, reduce(_compose, map(_atom_maps, atoms)))
+    run = at if isinstance(at, MonomialRun) else MonomialRun((at,))
+    g = _MONO_CACHE.pop((p, MonomialRun(run.atoms).key()), None) if run.xi else None
+    if g is None:
+        g = _mono_table(p, reduce(_compose, map(_atom_maps, run.atoms)))
+    table = tuple(_read_through(g, t) for t in _xi_reads(p, run.xi)) if run.xi else g
     if len(_MONO_CACHE) > 128:
         _MONO_CACHE.clear()
     _MONO_CACHE[key] = table
@@ -721,23 +739,39 @@ def _xi24(e: int):
 @lru_cache(maxsize=16)
 def _xi_tables(p: int, e: int):
     """Pull tables of xi^e mod p for B/C/T/X, Z/Y forward and Z/Y back:
-    every modulus shares the source indices and scales the sign bits."""
+    every modulus shares the (intp) source indices and scales the sign
+    bits."""
     return tuple(GatherTable(src, bits * p) for src, bits in _xi_maps(e))
 
 
-def apply_xi(v: MmVector, e: int) -> MmVector:
+# xi reads its A block, entry (i, j) at _A_IDX[i, j], through a table too
+_XI_A = GatherTable(_A_IDX.ravel(), np.zeros(576, dtype=np.uint8))
+
+
+def _xi_reads(p: int, e: int):
+    """The tables through which xi^e reads its input: A, B/C/T/X and Z/Y
+    forward.  A fused step reads through these composed with its run's."""
+    return (_XI_A,) + _xi_tables(p, e)[:2]
+
+
+def apply_xi(v: MmVector, e: int, *, run: tuple = ()) -> MmVector:
+    """xi^e; with run, the monomial atoms run and then xi^e, as one step
+    that reads through tables fused from both (see ``apply_word``)."""
     if e not in (1, 2):
         raise ValueError("exponent must be 1 or 2")
     p, m, lay = v.p, v.mod, v.layout()
     out = MmVector(m, np.empty_like(v.buf))
+    a, short, fwd = (_monomial_gather(p, MonomialRun(run, e)) if run
+                     else _xi_reads(p, e))
+    back = _xi_tables(p, e)[2]
 
     # A: congruence with the block-diagonal 24x24 matrix, exact integers
-    A = lay.extract(v.buf, _A_IDX)
+    A = lay.extract(v.buf, a.src)
+    A[a.neg != 0] *= -1
     M = _xi24(e)
-    lay.inject(out.buf, _A_IDX, (M.T @ A @ M) * pow(4, -1, p) % p)
+    lay.inject(out.buf, _A_IDX, (M.T @ A.reshape(24, 24) @ M) * pow(4, -1, p) % p)
 
     # B/C/T/X: signed permutation from conjugation in the extraspecial group
-    short, fwd, back = _xi_tables(p, e)
     gather_signed(out.buf[_B:_Z], v.buf, short)
 
     # Z/Y: into the grey-frame tensor, H_64 / 8, and back
@@ -751,12 +785,14 @@ def apply_xi(v: MmVector, e: int) -> MmVector:
 # ---------------------------------------------------------------------------
 # Dispatch
 
-def apply_atom(v: MmVector, at: GeneratorAtom) -> MmVector:
+def apply_atom(v: MmVector, at: GeneratorAtom, *, run: tuple = ()) -> MmVector:
+    """One atom; an xi atom may be given the monomial run before it (see
+    ``apply_xi``)."""
     if at.tag in _MONOMIAL_TAGS:
         return _apply_monomial(v, at)
     if at.tag == "t":
         return apply_tau(v, at.payload)
-    return apply_xi(v, at.payload)
+    return apply_xi(v, at.payload, run=run)
 
 
 def apply_xyz(v: MmVector, tag: str, d: ParkerLoopElement) -> MmVector:
@@ -767,13 +803,31 @@ def apply_pi(v: MmVector, pi: StdAutomorphism) -> MmVector:
     return apply_atom(v, GeneratorAtom("p", pi))
 
 
+def _seen(p: int, run: tuple, e: int) -> bool:
+    """Whether the run's table, plain or fused with xi^e, is cached."""
+    return ((p, MonomialRun(run).key()) in _MONO_CACHE
+            or (p, MonomialRun(run, e).key()) in _MONO_CACHE)
+
+
+def _apply_run(v: MmVector, run: tuple) -> MmVector:
+    return _apply_monomial(v, MonomialRun(run)) if run else v
+
+
 def apply_word(v: MmVector, word) -> MmVector:
     """Apply the atoms of word left to right; each maximal run of
-    monomial atoms acts as one signed permutation."""
-    for monomial, atoms in groupby(word, lambda at: at.tag in _MONOMIAL_TAGS):
-        if monomial:
-            v = _apply_monomial(v, MonomialRun(tuple(atoms)))
+    monomial atoms acts as one signed permutation.  A run followed by xi
+    that was seen before is fused into xi's tables, so the two take three
+    gathers, not four.  A run seen once is applied as its own gather:
+    fusing costs more than the gather it saves, so it pays only when the
+    run comes back."""
+    run = ()
+    for at in word:
+        if at.tag in _MONOMIAL_TAGS:
+            run += (at,)
+            continue
+        if run and at.tag == "l" and _seen(v.p, run, at.payload):
+            v = apply_atom(v, at, run=run)
         else:
-            for at in atoms:
-                v = apply_atom(v, at)
-    return v
+            v = apply_atom(_apply_run(v, run), at)
+        run = ()
+    return _apply_run(v, run)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,7 @@ def test_bench_smoke(capsys):
                         "--word-class", "tau"]) == 0
     out = capsys.readouterr().out
     assert "0.73" in out and "1.35" in out
+    assert re.search(r"atoms\): \d+\.\d\d ms  \(\d+\.\d\dx the paper's 0\.73 ms\)", out)
     assert "kernels vs scalar reference" in out
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monsterrep import aut_pl, golay, mm_rep as mr, parker_loop as pl, qx_leech as qx
@@ -453,9 +453,50 @@ def test_compiled_runs_equal_atoms(p, tags, seed):
     assert w == _apply_checked(v, word)
 
 
+# runs of 0-6 monomial atoms, each followed by tau or xi with its
+# exponent, then a run that may be empty; so a word may start with xi,
+# hold xi xi, and end in a run
+_FUSE_WORD_TAGS = st.tuples(
+    st.lists(st.tuples(st.lists(st.sampled_from("xyzdp"), max_size=6).map("".join),
+                       st.sampled_from(["t1", "t2", "l1", "l2"])), min_size=1, max_size=4),
+    st.one_of(st.just(""), _RUN))
+
+
+@pytest.mark.parametrize("p", ALL_P)
+@settings(max_examples=5, deadline=None)
+@given(tags=_FUSE_WORD_TAGS, seed=st.integers(0, 2**32))
+@example(tags=([("", "l1"), ("", "l2"), ("xyzdpx", "l1"), ("p", "l2"), ("dy", "t1"),
+                ("zyxpd", "l2")], "yx"), seed=12)
+def test_fused_runs_equal_atoms(p, tags, seed):
+    """A word applied three times, with its runs before xi first applied
+    on their own, then fused into xi's tables on the second sight and
+    read from the cache on the third, equals its atoms applied one by
+    one each time."""
+    mr._MONO_CACHE.clear()
+    rng = CounterRng(seed)
+    word, fused = [], []
+    for run, gen in tags[0]:
+        atoms = tuple(_random_atom(rng, tag) for tag in run)
+        word += [*atoms, A(gen[0], int(gen[1]))]
+        if atoms and gen[0] == "l":
+            fused.append((p, mr.MonomialRun(atoms, int(gen[1])).key()))
+    word += [_random_atom(rng, tag) for tag in tags[1]]
+    v = mr.rand(p, seed % 1000)
+    outs = []
+    for _ in range(3):
+        outs.append(mr.apply_word(v, word))
+        assert [key in mr._MONO_CACHE for key in fused] == [len(outs) > 1] * len(fused)
+    want = _apply_checked(v, word)
+    for w in outs:
+        mr.check_vector(w)
+        assert w == want
+
+
 def test_monomial_cache_keys(rng):
     """A word with a 3-atom run adds one table, keyed (p, run key); a
-    single atom keys (p, atom key), as does a run of one atom."""
+    single atom keys (p, atom key), as does a run of one atom; a run
+    fused with xi^e keys (p, run key + (("l", e),)), a run of one atom
+    too."""
     mr._MONO_CACHE.clear()
     v = mr.rand(7, 90)
     run = (A("y", 0x7b1), A("p", aut_pl.random_automorphism(rng)), A("d", 0x29c))
@@ -467,18 +508,41 @@ def test_monomial_cache_keys(rng):
     assert mr.MonomialRun(run[:1]).key() == run[0].key()
     mr.apply_word(v, [A("l", 1), run[0], A("t", 1)])
     assert len(mr._MONO_CACHE) == 2
+    assert mr.MonomialRun(run, 1).key() == tuple(at.key() for at in run) + (("l", 1),)
+    assert mr.MonomialRun(run[:1], 2).key() == (run[0].key(), ("l", 2))
+    mr.apply_word(v, [run[0], A("l", 2)])
+    assert list(mr._MONO_CACHE)[1:] == [(7, (run[0].key(), ("l", 2)))]
+
+
+def test_fused_table_replaces_run_table(rng):
+    """A run before xi adds its own table when first seen; the second
+    time, the fused table takes its place, so the cache holds one entry."""
+    mr._MONO_CACHE.clear()
+    v = mr.rand(31, 91)
+    run = (A("x", 0x155), A("p", aut_pl.random_automorphism(rng)), A("z", 0x1e2))
+    word = [*run, A("l", 1)]
+    mr.apply_word(v, word)
+    assert list(mr._MONO_CACHE) == [(31, mr.MonomialRun(run).key())]
+    mr.apply_word(v, word)
+    assert list(mr._MONO_CACHE) == [(31, mr.MonomialRun(run, 1).key())]
 
 
 @pytest.mark.parametrize("p", [3, 255])
 def test_monomial_tables_are_signed_permutations(p, rng):
     """The pull table of every monomial tag, and of a composed run of all
     of them, is a permutation of all coordinates with a sign mask of 0 or
-    p."""
+    p.  The run's tables fused with xi^e read the sources of xi's A,
+    B/C/T/X and Z/Y forward tables in some order, with such a mask."""
     atoms = [_random_atom(rng, tag) for tag in "xyzdp" for _ in range(2)]
     for at in atoms + [mr.MonomialRun(tuple(atoms))]:
         tab = mr._monomial_gather(p, at)
         assert np.array_equal(np.sort(tab.src), np.arange(mr.DIM))
         assert set(np.unique(tab.neg).tolist()) <= {0, p}
+    for e in (1, 2):
+        fused = mr._monomial_gather(p, mr.MonomialRun(tuple(atoms), e))
+        for tab, xi_tab in zip(fused, mr._xi_reads(p, e), strict=True):
+            assert np.array_equal(np.sort(tab.src), np.sort(xi_tab.src))
+            assert set(np.unique(tab.neg).tolist()) <= {0, p}
 
 
 def _small_blocks(c, at, p):
@@ -527,6 +591,31 @@ def test_small_blocks_closed_form(p, rng):
             at = _random_atom(rng, tag)
             got = mr.apply_atom(v, at).unpack()[:852]
             assert np.array_equal(got, _small_blocks(c, at, p)), at
+
+
+def _suboctad_of_mask_vec(o, rep_mask):
+    """Suboctad index of the even subset rep_mask of each octad o, bit by
+    bit over the eight points of the octad."""
+    pts = golay.OCTAD_POINTS[o]                                    # (n, 8)
+    m8 = np.zeros(len(o), dtype=np.uint32)
+    for j in range(8):
+        m8 |= ((rep_mask >> pts[:, j]) & 1).astype(np.uint32) << np.uint32(j)
+    m8 = np.where(m8 & 0x80, m8 ^ 0xFF, m8)
+    return ((m8 >> 1) & 0x3F).astype(np.int64)
+
+
+def test_yz_suboctad_images_all_codewords(rng):
+    """y_e and z_e send suboctad t of octad o to t ^ s, where s is the
+    suboctad of o intersected with e, for all 4096 code words e; the
+    maps build s by linearity, the oracle bit by bit."""
+    octads = np.arange(759)
+    t = np.arange(64)
+    for ce in range(4096):
+        s = _suboctad_of_mask_vec(octads, golay.OCTAD_MASKS.astype(np.int64) & int(golay.EXPAND[ce]))
+        want = (64 * octads[:, None] + (t ^ s[:, None])).ravel()
+        for tag in "yz":
+            e13 = ce | rng.int(2) << 12
+            assert np.array_equal(mr._xyz_maps(tag, e13).t[0], want), (tag, ce)
 
 
 def test_pi_suboctad_images(rng):

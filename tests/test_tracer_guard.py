@@ -65,6 +65,26 @@ def test_tracer_meters_the_monomial_cache():
     assert stages["mm_rep.mono_cache.hits"] == stages["mm_rep.mono_cache.misses"] == 3
 
 
+def test_tracer_sees_a_warm_fused_word_under_xi():
+    """A y x_pi x nu_delta xi word seen twice before runs its three
+    gathers under apply_xi, and finds its fused tables in one cache hit."""
+    tracer = _load_tracer()
+    mr._MONO_CACHE.clear()
+    v = mr.rand(255, 9)
+    word = [A("y", 0x7b1), A("p", aut_pl.random_automorphism(CounterRng(9))),
+            A("x", 0x1a3), A("d", 0x29c), A("l", 2)]
+    mr.apply_word(v, word)
+    mr.apply_word(v, word)
+    tr = _traced(tracer, lambda: mr.apply_word(v, word))
+    gathers = [i for i, name in enumerate(tr.names) if name == "kernels.gather_signed"]
+    assert len(gathers) == 3
+    assert all("mm_rep.apply_xi" in tr.ancestors(i) for i in gathers)
+    stages = tracer.layer_metrics(tr)
+    assert stages["mm_rep.lane_gather_s"] == 0 and stages["mm_rep.xi_gather_s"] > 0
+    assert stages["mm_rep.mono_cache.hits"] == 1
+    assert stages["mm_rep.mono_cache.misses"] == 0
+
+
 def test_tracer_sees_the_cli_apply_path(tmp_path):
     tracer = _load_tracer()
     src, dst = str(tmp_path / "in.mmv"), str(tmp_path / "out.mmv")
