@@ -190,23 +190,22 @@ def _rowperm_images(rho, cols=0x3F):
     return tuple(out)
 
 
+def _candidate_images():
+    halves = ((1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+    return ([_colperm_images(sigma) for sigma in permutations(range(6))]
+            + [_rowperm_images(rho) for rho in ((0, 2, 3, 1), (0, 3, 1, 2))]
+            + [_rowperm_images(rho, cols) for rho in halves for cols in (0x0F, 0x33, 0x3C)])
+
+
 @lru_cache(maxsize=1)
 def sample_perms():
-    cands = []
-    for sigma in permutations(range(6)):
-        cands.append(_colperm_images(sigma))
-    for rho in ((0, 2, 3, 1), (0, 3, 1, 2)):
-        cands.append(_rowperm_images(rho))
-    for rho in ((1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)):
-        for cols in (0x0F, 0x33, 0x3C):
-            cands.append(_rowperm_images(rho, cols))
-    good = []
-    for images in cands:
-        try:
-            _perm_tables(images)
-            good.append(Perm24(images))
-        except NotInM24Error:
-            pass
+    """The candidates in M_24, in candidate order: those that map the 12
+    basis words to words of syndrome 0, tested in one vectorized pass."""
+    cands = _candidate_images()
+    bits = (np.array(BASIS)[:, None] >> np.arange(24)) & 1
+    images = (1 << np.array(cands)) @ bits.T                # (candidates, 12) masks
+    in_m24 = ~golay.syndrome_mask_vec(images).any(axis=1)
+    good = [Perm24(c) for c, ok in zip(cands, in_m24) if ok]
     assert len(good) >= 24
     return tuple(good)
 

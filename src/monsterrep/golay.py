@@ -151,23 +151,19 @@ def syndrome_mask_vec(v: np.ndarray) -> np.ndarray:
 
 
 def _build_lightest():
+    """Per cocode element, its weight and the first subset of that weight
+    in ``combinations`` order with its syndrome: one pass per weight."""
     rep = np.zeros(4096, dtype=np.uint32)
     wt = np.full(4096, -1, dtype=np.int8)
     wt[0] = 0
-    remaining = 4095
     for weight in (1, 2, 3, 4):
-        for pts in combinations(range(24), weight):
-            mask = 0
-            for i in pts:
-                mask |= 1 << i
-            s = syndrome_mask(mask)
-            if wt[s] < 0:
-                wt[s] = weight
-                rep[s] = mask
-                remaining -= 1
-        if remaining == 0:
-            break
-    assert remaining == 0
+        pts = np.fromiter(combinations(range(24), weight), dtype=(np.uint32, weight))
+        masks = (np.uint32(1) << pts).sum(axis=1, dtype=np.uint32)
+        synd, first = np.unique(syndrome_mask_vec(masks), return_index=True)
+        new = wt[synd] < 0
+        wt[synd[new]] = weight
+        rep[synd[new]] = masks[first[new]]
+    assert (wt >= 0).all()
     return rep, wt
 
 

@@ -12,9 +12,10 @@ A vector splits into seven blocks,
 
 stored as one uint8 per coordinate in the MMV1 file order: the blocks in
 the order above, A as its 24 diagonal entries then the 276 pairs, T
-octad-major and X/Z/Y class-major.  A coordinate holds a value 0..p, and
-p is an alias of 0 (see ``modp_core``).  Short vector n of ``qx_leech``
-is coordinate 300 + n.
+octad-major and X/Z/Y class-major.  Short vector n of ``qx_leech`` is
+coordinate 300 + n.  A coordinate holds 0..p, and p is an alias of 0 (see
+``modp_core``) that only ``residues`` reads.  Input must be exact:
+non-integer coordinates, factors or payloads raise, as do out-of-range ones.
 
 Generator words act through four kernel families:
 
@@ -43,6 +44,7 @@ Generator words act through four kernel families:
 * everything else is composition.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import NamedTuple
@@ -86,17 +88,20 @@ def _canon(codes):
 # ---------------------------------------------------------------------------
 # Coordinate access
 
+def residues(buf, p: int) -> np.ndarray:
+    """The uint8 coordinates buf as residues 0..p-1: the one reader of the alias p."""
+    return buf * (buf != p)
+
+
 class Layout:
-    """Coordinate access for one modulus: reads map the alias p to 0."""
+    """Coordinate access for one modulus, named by the benchmark's tracer."""
 
     def __init__(self, m: Modulus):
         self.m = m
 
     def extract(self, buf, idx):
         """The coordinates idx of buf as integers 0..p-1."""
-        vals = buf[idx].astype(np.int64)
-        vals[vals == self.m.p] = 0
-        return vals
+        return residues(buf[idx], self.m.p).astype(np.int64)
 
     def inject(self, buf, idx, vals):
         """Write integers 0..p-1 into the coordinates idx of buf."""
@@ -122,22 +127,17 @@ class MmVector:
     def p(self) -> int:
         return self.mod.p
 
-    def layout(self) -> Layout:
-        return layout(self.mod.p)
-
     def copy(self) -> "MmVector":
         return MmVector(self.mod, self.buf.copy())
 
     def unpack(self) -> np.ndarray:
-        vals = self.buf.astype(np.int64)
-        vals[vals == self.mod.p] = 0
-        return vals
+        return residues(self.buf, self.mod.p).astype(np.int64)
 
     def __eq__(self, other):
         if not isinstance(other, MmVector):
             return NotImplemented
-        return self.mod.p == other.mod.p and bool(
-            np.array_equal(self.unpack(), other.unpack()))
+        return self.mod.p == other.mod.p and bool(np.array_equal(
+            residues(self.buf, self.mod.p), residues(other.buf, self.mod.p)))
 
     def __add__(self, other):
         if self.mod.p != other.mod.p:
@@ -165,6 +165,8 @@ def from_coords(p, vals) -> MmVector:
     vals = np.asarray(vals)
     if vals.shape != (DIM,):
         raise ValueError(f"expected {DIM} coordinates")
+    if vals.dtype.kind not in "biu":
+        raise ValueError(f"coordinates must be integers, not {vals.dtype}")
     if vals.min() < 0 or vals.max() >= m.p:
         bad = np.flatnonzero((vals < 0) | (vals >= m.p))[0]
         raise ValueError(f"coordinate {bad} is {vals[bad]}; "
@@ -182,13 +184,15 @@ def add(a: MmVector, b: MmVector) -> MmVector:
 
 
 def basis_vector(p, logical_index: int) -> MmVector:
+    if not 0 <= logical_index < DIM:
+        raise ValueError(f"coordinate {logical_index} outside 0..{DIM - 1}")
     v = new_zero(p)
     v.buf[logical_index] = 1
     return v
 
 
 def scale(v: MmVector, s: int) -> MmVector:
-    return from_coords(v.p, (v.unpack() * (s % v.p)) % v.p)
+    return from_coords(v.p, v.unpack() * (operator.index(s) % v.p) % v.p)
 
 
 def check_vector(v: MmVector) -> None:
@@ -218,10 +222,9 @@ MAGIC = b"MMV1"
 
 
 def write_vector(v: MmVector, path):
-    data = MAGIC + bytes([v.p]) + DIM.to_bytes(4, "little") \
-        + v.unpack().astype(np.uint8).tobytes()
     with open(path, "wb") as fh:
-        fh.write(data)
+        fh.write(MAGIC + bytes([v.p]) + DIM.to_bytes(4, "little"))
+        fh.write(residues(v.buf, v.p))
 
 
 def read_vector(path) -> MmVector:
@@ -229,8 +232,9 @@ def read_vector(path) -> MmVector:
         data = fh.read()
     if data[:4] != MAGIC:
         raise ValueError("not an MMV1 vector file")
-    if len(data) != 9 + DIM or int.from_bytes(data[5:9], "little") != DIM:
-        raise ValueError(f"corrupt MMV1 file: {len(data)} bytes, expected {9 + DIM}")
+    size, count = len(data), int.from_bytes(data[5:9], "little")
+    if (size, count) != (9 + DIM, DIM):
+        raise ValueError(f"corrupt MMV1 file: {size} bytes, count {count}; expected {9 + DIM}, {DIM}")
     return from_coords(data[4], np.frombuffer(data, dtype=np.uint8, offset=9))
 
 
@@ -245,6 +249,8 @@ class GeneratorAtom:
     payload: object
 
     def __post_init__(self):
+        if self.tag != "p" and not isinstance(self.payload, (int, np.integer)):
+            raise ValueError(f"{self.tag} atom needs an integer, not {self.payload!r}")
         if self.tag in ("x", "y", "z"):
             if not 0 <= self.payload < 8192:
                 raise ValueError("loop payload must fit in 13 bits")
@@ -572,7 +578,7 @@ def apply_tau(v: MmVector, e: int) -> MmVector:
     """tau^e in one pass; tau^2 = tau^-1 runs every step of tau inverted."""
     if e not in (1, 2):
         raise ValueError("exponent must be 1 or 2")
-    p, m, lay = v.p, v.mod, v.layout()
+    p, m, lay = v.p, v.mod, layout(v.p)
     mask_di, mask_dp, mask_p, t_neg, reindex = _tau_masks(p)
     out = MmVector(m, np.empty_like(v.buf))
 
@@ -759,7 +765,7 @@ def apply_xi(v: MmVector, e: int, *, run: tuple = ()) -> MmVector:
     that reads through tables fused from both (see ``apply_word``)."""
     if e not in (1, 2):
         raise ValueError("exponent must be 1 or 2")
-    p, m, lay = v.p, v.mod, v.layout()
+    p, m, lay = v.p, v.mod, layout(v.p)
     out = MmVector(m, np.empty_like(v.buf))
     a, short, fwd = (_monomial_gather(p, MonomialRun(run, e)) if run
                      else _xi_reads(p, e))

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import golay
 from .golay import (BASIS, EXPAND, CocodeElement, GolayCodeword,
-                    syndrome_mask)
+                    syndrome_mask, syndrome_mask_vec)
 
 
 def pmap_mask(d: int) -> int:
@@ -56,11 +56,10 @@ def _build_theta():
         theta_basis[i] = int("".join(str(b) for b in tb[i, ::-1]), 2)
 
     theta = np.zeros(4096, dtype=np.uint16)
-    for c in range(1, 4096):
-        k = (c & -c).bit_length() - 1
-        rest = c ^ (1 << k)
-        theta[c] = (theta[rest] ^ theta_basis[k]
-                    ^ syndrome_mask(int(EXPAND[rest]) & BASIS[k]))
+    for j in range(12):
+        b = 1 << j
+        theta[b:2 * b] = (theta[:b] ^ theta_basis[j]
+                          ^ syndrome_mask_vec(EXPAND[:b] & np.uint32(BASIS[j])))
     return theta
 
 

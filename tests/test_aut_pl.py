@@ -28,6 +28,20 @@ def test_bad_permutation_rejected():
         Perm24(tuple([0] * 24))
 
 
+def test_sample_perms_equal_table_filter():
+    """sample_perms keeps the candidates that _perm_tables accepts, in
+    candidate order."""
+    kept = []
+    for images in aut_pl._candidate_images():
+        try:
+            aut_pl._perm_tables(images)
+            kept.append(images)
+        except NotInM24Error:
+            pass
+    assert [p.images for p in aut_pl.sample_perms()] == kept
+    assert len(kept) == 35
+
+
 def test_lift_fixes_basis():
     for p in aut_pl.sample_perms()[:6]:
         pi = from_perm(p)

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monsterrep import mm_cli, mm_rep
+from monsterrep.modp_core import ALLOWED_P
 
 
 def test_parse_word_atoms():
@@ -77,6 +82,61 @@ def test_apply_bad_input_files(tmp_path, capsys):
     rc = mm_cli.main(["apply", "--in", str(tmp_path / "missing.mmv"), "--word", "t1",
                       "--out", str(tmp_path / "out.mmv")])
     assert rc == 2 and capsys.readouterr().err.startswith("input error: ")
+
+
+_WORD_TEXT = st.one_of(st.text(), st.text(alphabet="xyzdptl0123456789abcdefABCDEF*[],- _"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WORD_TEXT)
+def test_parse_word_arbitrary_text(text):
+    """Any text parses to atoms or raises ValueError."""
+    try:
+        atoms = mm_cli.parse_word(text)
+    except ValueError:
+        return
+    assert all(isinstance(at, mm_rep.GeneratorAtom) for at in atoms)
+
+
+_GOOD_MMV1 = {}
+_CORRUPTIONS = ("truncated", "padded", "magic", "modulus", "count", "coordinate")
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(ALLOWED_P), kind=st.sampled_from(_CORRUPTIONS), data=st.data())
+def test_corrupt_mmv1_files_fail_cleanly(tmp_path_factory, p, kind, data):
+    """A truncated or padded MMV1 file, or one with a bad magic, modulus
+    byte, coordinate count or a coordinate >= p, raises ValueError in
+    read_vector, and `apply` exits 2 with one error line and no output."""
+    if p not in _GOOD_MMV1:
+        path = tmp_path_factory.mktemp("mmv1") / "good.mmv"
+        mm_rep.write_vector(mm_rep.rand(p, 50 + p), path)
+        _GOOD_MMV1[p] = (path.parent, path.read_bytes())
+    tmp, blob = _GOOD_MMV1[p]
+    blob = bytearray(blob)
+    if kind == "truncated":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    elif kind == "padded":
+        blob += data.draw(st.binary(min_size=1, max_size=16))
+    elif kind == "magic":
+        blob[:4] = data.draw(st.binary(min_size=4, max_size=4).filter(lambda b: b != b"MMV1"))
+    elif kind == "modulus":
+        blob[4] = data.draw(st.integers(0, 255).filter(lambda b: b not in ALLOWED_P))
+    elif kind == "count":
+        count = data.draw(st.integers(0, 2**32 - 1).filter(lambda n: n != mm_rep.DIM))
+        blob[5:9] = count.to_bytes(4, "little")
+    else:
+        blob[9 + data.draw(st.integers(0, mm_rep.DIM - 1))] = data.draw(st.integers(p, 255))
+    src, dst = tmp / "bad.mmv", tmp / "out.mmv"
+    src.write_bytes(blob)
+    with pytest.raises(ValueError):
+        mm_rep.read_vector(src)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = mm_cli.main(["apply", "--in", str(src), "--word", "t1", "--out", str(dst)])
+    assert rc == 2 and not dst.exists()
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: "), lines
 
 
 def test_apply_unwritable_output(tmp_path, capsys):

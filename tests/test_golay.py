@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,19 @@ def test_hexacode_membership():
     assert not golay.HexacodeWord((1, 0, 0, 0, 0, 0)).is_in_hexacode()
     with pytest.raises(ValueError):
         golay.HexacodeWord((4, 0, 0, 0, 0, 0))
+
+
+def test_lightest_equals_subset_loop():
+    """LIGHTEST and COCODE_WEIGHT equal the first subset of least weight
+    per syndrome, found by a loop over the subsets in combinations order."""
+    rep = np.zeros(4096, dtype=np.uint32)
+    wt = np.full(4096, -1, dtype=np.int8)
+    wt[0] = 0
+    for weight in (1, 2, 3, 4):
+        for pts in combinations(range(24), weight):
+            mask = sum(1 << i for i in pts)
+            s = golay.syndrome_mask(mask)
+            if wt[s] < 0:
+                wt[s], rep[s] = weight, mask
+    assert np.array_equal(golay.LIGHTEST, rep) and golay.LIGHTEST.dtype == rep.dtype
+    assert np.array_equal(golay.COCODE_WEIGHT, wt) and golay.COCODE_WEIGHT.dtype == wt.dtype

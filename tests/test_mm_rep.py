@@ -28,6 +28,11 @@ def test_from_coords_validation():
         mr.from_coords(3, np.full(mr.DIM, 3))
     with pytest.raises(ValueError):
         mr.from_coords(3, np.zeros(10))
+    for vals in (np.full(mr.DIM, 1.5), np.full(mr.DIM, "1")):   # not truncated
+        with pytest.raises(ValueError, match="integers"):
+            mr.from_coords(3, vals)
+    assert mr.from_coords(3, np.ones(mr.DIM, dtype=bool)) == \
+        mr.from_coords(3, np.ones(mr.DIM, dtype=np.uint16))
 
 
 def test_norm_form_weights():
@@ -56,6 +61,42 @@ def test_file_roundtrip(tmp_path):
         mr.read_vector(tmp_path / "bad.mmv")
 
 
+@pytest.mark.parametrize("p", ALL_P)
+def test_alias_io_and_equality(p, tmp_path):
+    """A vector holding the alias p in a third of its coordinates writes
+    the MMV1 bytes of its residues and reads back equal; equality agrees
+    with comparing unpack(), for alias against 0 and for one changed
+    coordinate."""
+    v = mr.rand(p, 200 + p)
+    v.buf[::3] = p
+    path = tmp_path / "v.mmv"
+    mr.write_vector(v, path)
+    assert path.read_bytes() == (mr.MAGIC + bytes([p]) + mr.DIM.to_bytes(4, "little")
+                                 + v.unpack().astype(np.uint8).tobytes())
+    back = mr.read_vector(path)
+    assert back == v and back.buf.max() < p
+    one = back.copy()
+    one.buf[3] = 1                                    # v holds the alias there
+    other = back.copy()
+    other.buf[100000] = (other.buf[100000] + 1) % p
+    for a, b in ((v, back), (v, one), (v, other), (back, other), (one, one)):
+        assert (a == b) == np.array_equal(a.unpack(), b.unpack())
+    assert v == back and v != one and v != other
+
+
+def test_scale_and_basis_vector_take_exact_integers():
+    """scale takes an integer factor (numpy integers too); basis_vector
+    rejects indices outside 0..DIM-1."""
+    v = mr.rand(7, 3)
+    with pytest.raises(TypeError):
+        mr.scale(v, 2.5)
+    assert mr.scale(v, np.int64(3)) == mr.scale(v, 3)
+    for i in (-1, mr.DIM):
+        with pytest.raises(ValueError, match="outside"):
+            mr.basis_vector(7, i)
+    assert mr.basis_vector(7, mr.DIM - 1).buf[-1] == 1
+
+
 def test_identity_atoms():
     v = mr.rand(7, 4)
     assert mr.apply_atom(v, A("x", 0)) == v
@@ -82,6 +123,14 @@ def test_atom_validation():
         A("q", 1)
     with pytest.raises(ValueError):
         A("p", 5)
+    for tag, payload in (("x", 1.5), ("y", 2.0), ("z", "3"), ("d", 0.5), ("t", 1.0),
+                         ("l", None)):
+        with pytest.raises(ValueError, match="integer"):
+            A(tag, payload)
+    v = mr.rand(7, 3)
+    for payload in (np.int64(0x1a3), np.uint16(0x1a3)):
+        assert mr.apply_atom(v, A("x", payload)) == mr.apply_atom(v, A("x", 0x1a3))
+    assert mr.apply_atom(v, A("l", np.int8(1))) == mr.apply_xi(v, 1)
 
 
 @pytest.mark.parametrize("p", [3, 255])

@@ -117,3 +117,19 @@ def test_diassociativity_smoke(rng):
 def test_cocycle_table_interface():
     assert theta(GolayCodeword(0x40), GolayCodeword(3)) in (0, 1)
     assert theta_of(GolayCodeword(0)).coords == 0
+
+
+def test_theta_equals_lowest_bit_loop():
+    """THETA equals theta(c) = theta(c - b_k) + theta(b_k) + A(c - b_k, b_k)
+    over the lowest set bit k of c, one code word at a time, with theta(b_i)
+    holding P(b_i) at bit i and C(b_i, b_j) at bits j < i."""
+    B = golay.BASIS
+    basis = [sum((pl.pmap_mask(B[i]) if i == j else pl.cmap_mask(B[i], B[j])) << j
+                 for j in range(i + 1)) for i in range(12)]
+    theta = np.zeros(4096, dtype=np.uint16)
+    for c in range(1, 4096):
+        k = (c & -c).bit_length() - 1
+        rest = c ^ (1 << k)
+        theta[c] = (theta[rest] ^ basis[k]
+                    ^ golay.syndrome_mask(int(EXPAND[rest]) & golay.BASIS[k]))
+    assert np.array_equal(pl.THETA, theta) and pl.THETA.dtype == theta.dtype
