@@ -45,6 +45,7 @@ Generator words act through four kernel families:
 """
 
 import operator
+import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import NamedTuple
@@ -184,6 +185,10 @@ def add(a: MmVector, b: MmVector) -> MmVector:
 
 
 def basis_vector(p, logical_index: int) -> MmVector:
+    try:
+        logical_index = operator.index(logical_index)
+    except TypeError:
+        raise ValueError(f"coordinate {logical_index!r} is not an integer") from None
     if not 0 <= logical_index < DIM:
         raise ValueError(f"coordinate {logical_index} outside 0..{DIM - 1}")
     v = new_zero(p)
@@ -229,10 +234,11 @@ def write_vector(v: MmVector, path):
 
 def read_vector(path) -> MmVector:
     with open(path, "rb") as fh:
-        data = fh.read()
+        size = os.fstat(fh.fileno()).st_size
+        data = fh.read(9 + DIM)
     if data[:4] != MAGIC:
         raise ValueError("not an MMV1 vector file")
-    size, count = len(data), int.from_bytes(data[5:9], "little")
+    count = int.from_bytes(data[5:9], "little")
     if (size, count) != (9 + DIM, DIM):
         raise ValueError(f"corrupt MMV1 file: {size} bytes, count {count}; expected {9 + DIM}, {DIM}")
     return from_coords(data[4], np.frombuffer(data, dtype=np.uint8, offset=9))
@@ -280,20 +286,22 @@ def atom(tag: str, payload) -> GeneratorAtom:
 # Monomial atoms and runs: signed-permutation maps
 #
 # A monomial map is held in push form, source coordinate c -> +-coordinate
-# img(c), block by block:
+# img(c), in two parts:
 #
-#   a    24-point image and 24 sign bits: A entry (i, j) goes to entry
-#        (img i, img j), negated by the sign bits of i and j together;
-#   bc   552-entry image and sign bits on B then C;
-#   t    48576-entry int32 image and sign bits on T, octad-major;
-#   xzy  per source block X, Z, Y: the destination block, a 2048-row image,
-#        a 24-column image and (2048, 24) sign bits in source coordinates.
+#   head  an int32 image and uint8 sign bits of the 49428 coordinates below
+#         X (A, B, C and T); A entry (i, j) of an automorphism goes to
+#         entry (img i, img j);
+#   rows  X, Z and Y stacked as one 6144 x 24 block: a 6144-row image, one
+#         24-column image that all rows share, and (6144, 24) sign bits in
+#         source coordinates.
 #
-# The form is closed under composition (``_compose``), so a run of monomial
-# atoms becomes one map, one pull table and one gather.
+# An element of N_x0 permutes the code classes of X, Z and Y and applies
+# one point map to the columns of all three, so the rows part needs no
+# block names: the swap of Z and Y by an odd automorphism is a row offset.
+# The form is closed under composition (``_compose``), so a run of
+# monomial atoms becomes one map, one pull table and one gather.
 
 _MONOMIAL_TAGS = frozenset("xyzpd")
-_BASE = {"X": _X, "Z": _Z, "Y": _Y}
 
 # the bit <d, i> per (class, point) of X/Z/Y, the bit P(d) per class, and
 # the sign bit P(d) + <d, i> of an odd automorphism on X
@@ -303,27 +311,12 @@ _CLASS_PDI = _CLASS_PBIT[:, None] ^ _CLASS_DI
 
 
 class _Maps(NamedTuple):
-    a: tuple
-    bc: tuple
-    t: tuple
-    xzy: dict
+    head: tuple     # (image, sign bits) of the coordinates below X
+    rows: tuple     # (row image, column image, sign bits) of X/Z/Y
 
 
 def _bits(s):
     return (np.asarray(s) & 1).astype(np.uint8)
-
-
-def _t_map(oct_img, sub_img, sgn):
-    """T part from the octad images, the (759, 64) suboctad images and the
-    sign bits (both broadcast to 759 x 64)."""
-    img = (64 * oct_img.astype(np.int32))[:, None] + sub_img
-    return (np.broadcast_to(img, (759, 64)).ravel(),
-            np.broadcast_to(_bits(sgn), (759, 64)).ravel())
-
-
-def _xzy_map(dst, rimg, rsgn, cimg, csgn):
-    """X/Z/Y part of a source block whose sign is a row bit plus a column bit."""
-    return dst, rimg, cimg, _bits(rsgn)[:, None] ^ _bits(csgn)
 
 
 def _theta_vec(dc, ec):
@@ -355,37 +348,40 @@ def _xyz_maps(tag: str, e13: int) -> _Maps:
     pe = int(PMAP_TABLE[ce])
     c_ce_c0 = ((np.bitwise_count((_CLASS_MASKS & emask).astype(np.uint64)) >> 1) & 1).astype(np.int64)
 
-    colsel = ((emask >> np.arange(24)) & 1).astype(np.int64)
-    id24, zero24 = np.arange(24), np.zeros(24, dtype=np.int64)
+    colsel = (emask >> np.arange(24)) & 1
 
-    # B/C (index n of B, 276 + n of C): x_e negates the pairs split by e;
-    # y_e and z_e also swap B and C on those pairs, y_e with a sign
+    # A/B/C: x_e negates the B and C pairs split by e; y_e and z_e also
+    # swap B and C on those pairs, y_e with a sign, and map A -> s A s
+    # with the sign diagonal s of e, which negates the same pairs of A
     flip = colsel[_PAIR_I] ^ colsel[_PAIR_J]
-    n = np.arange(276)
-    bc_img = (np.arange(552) if tag == "x"
-              else np.concatenate((n + 276 * flip, n + 276 * (1 - flip))))
-    bc_sgn = np.tile(flip * (tag != "z"), 2)
+    img = np.arange(_X, dtype=np.int32)
+    sgn = np.zeros(_X, dtype=np.uint8)
+    if tag != "x":
+        img[_B:_C] += 276 * flip
+        img[_C:_T] -= 276 * flip
+        sgn[24:_B] = flip
+    sgn[_B:_T] = np.tile(flip * (tag != "z"), 2)
+    img[_T:] = (_T + 64 * np.arange(759, dtype=np.int32)[:, None] + t_img_t).ravel()
+    sgn[_T:].reshape(759, 64)[...] = t_sgn
 
-    if tag == "x":
-        xmap = ("X", chi_id, c_ce_c0, colsel)                   # X
-        zmap = ("Z", chi_xor, se ^ pe ^ th_ce_c0, zero24)       # Z <- (e^-1 d)
-        ymap = ("Y", chi_xor, se ^ pe ^ th_ce_c0 ^ bflip, zero24)
-    elif tag == "y":
-        xmap = ("X", chi_xor, se ^ th_c0_ce, zero24)            # X: d -> d e
-        zmap = ("Z", chi_xor, se ^ th_c0_ce, colsel)            # (d e)^+
-        ymap = ("Y", chi_id, c_ce_c0, colsel)                   # (e^-1 d e)^-
-    else:
-        xmap = ("X", chi_xor, se ^ pe ^ th_ce_c0, colsel)       # X: d -> e^-1 d
-        zmap = ("Z", chi_id, c_ce_c0, colsel)                   # (e^-1 d e)^+
-        ymap = ("Y", chi_xor, se ^ th_c0_ce ^ bflip, colsel)    # (d e)^-
-
-    return _Maps(
-        a=(id24, _bits(zero24 if tag == "x" else colsel)),     # A -> s A s
-        bc=(bc_img, _bits(bc_sgn)),
-        t=_t_map(np.arange(759), t_img_t, t_sgn),
-        xzy={blk: _xzy_map(dst, rimg, rsgn, id24, csgn)
-             for blk, (dst, rimg, rsgn, csgn) in zip("XZY", (xmap, zmap, ymap))},
-    )
+    # per block X, Z, Y: the row image, the row sign bits, and whether the
+    # columns of e are negated
+    if tag == "x":          # X; Z and Y <- (e^-1 d)
+        rimg = (chi_id, chi_xor, chi_xor)
+        rsgn = (c_ce_c0, se ^ pe ^ th_ce_c0, se ^ pe ^ th_ce_c0 ^ bflip)
+        csel = (1, 0, 0)
+    elif tag == "y":        # X: d -> d e; Z: (d e)^+; Y: (e^-1 d e)^-
+        rimg = (chi_xor, chi_xor, chi_id)
+        rsgn = (se ^ th_c0_ce, se ^ th_c0_ce, c_ce_c0)
+        csel = (0, 1, 1)
+    else:                   # X: d -> e^-1 d; Z: (e^-1 d e)^+; Y: (d e)^-
+        rimg = (chi_xor, chi_id, chi_xor)
+        rsgn = (se ^ pe ^ th_ce_c0, c_ce_c0, se ^ th_c0_ce ^ bflip)
+        csel = (1, 1, 1)
+    row_sgn = _bits(rsgn)[:, :, None] ^ np.outer(csel, colsel).astype(np.uint8)[:, None, :]
+    return _Maps(head=(img, sgn),
+                 rows=((2048 * np.arange(3)[:, None] + rimg).ravel(), np.arange(24),
+                       row_sgn.reshape(6144, 24)))
 
 
 # position of each point inside each octad (entries of other points unused)
@@ -395,11 +391,9 @@ _OCTAD_POS[np.arange(759)[:, None], golay.OCTAD_POINTS] = np.arange(8)
 
 class _PermMaps(NamedTuple):
     img24: np.ndarray       # point images
-    oct_img: np.ndarray     # octad images
-    sub_img: np.ndarray     # (759, 6) images of the basis suboctads 1 << j
+    head: np.ndarray        # int32 image of the coordinates below X
     chi_img: np.ndarray     # class images
     bflip: np.ndarray       # canonical-representative bit of the image class
-    bc_img: np.ndarray      # B/C pair images
 
 
 @lru_cache(maxsize=8)
@@ -415,10 +409,19 @@ def _perm_maps(images: tuple) -> _PermMaps:
     pos = _OCTAD_POS[oct_img[:, None], img24[golay.OCTAD_POINTS[:, :7]]]
     m8 = (1 << pos[:, :1]) | (1 << pos[:, 1:])
     sub_img = (np.where(m8 & 0x80, m8 ^ 0xFF, m8) >> 1) & 0x3F
-    wc0, bflip = _canon(code_img[_CLASS_COORDS])
+    # t -> SUB_REP[o, t] (an XOR of pairs {pt0, pt_j}), the point map and
+    # the suboctad index are GF(2)-linear: fill 64 t by doubling
+    t_img = np.empty((759, 64), dtype=np.int32)
+    t_img[:, 0] = 64 * oct_img.astype(np.int32)
+    for j in range(6):
+        b = 1 << j
+        t_img[:, b:2 * b] = t_img[:, :b] ^ sub_img[:, j:j + 1]
+    # A entry (i, j) goes to (img i, img j), and B and C pair n alike
     pair_img = qx_leech._PAIR_IDX[img24[_PAIR_I], img24[_PAIR_J]]
-    maps = _PermMaps(img24, oct_img, sub_img, coords_to_class(wc0), bflip,
-                     np.concatenate((pair_img, 276 + pair_img)))
+    head = np.concatenate((img24, 24 + pair_img, _B + pair_img, _C + pair_img,
+                           _T + t_img.ravel()), dtype=np.int32)
+    wc0, bflip = _canon(code_img[_CLASS_COORDS])
+    maps = _PermMaps(img24, head, coords_to_class(wc0), bflip)
     for arr in maps:
         arr.flags.writeable = False
     return maps
@@ -431,33 +434,25 @@ def _pi_maps(pi: StdAutomorphism) -> _Maps:
     pm = _perm_maps(pi.perm.images)
     q, delta, par = pi.qform, pi.diag.coords, aut_pl.parity(pi)
 
-    # t -> SUB_REP[o, t] (an XOR of pairs {pt0, pt_j}), the point map and
-    # the suboctad index are GF(2)-linear: fill 64 t by doubling
-    t_img_t = np.zeros((759, 64), dtype=np.int32)
-    for j in range(6):
-        b = 1 << j
-        t_img_t[:, b:2 * b] = t_img_t[:, :b] ^ pm.sub_img[:, j:j + 1]
+    sgn = np.zeros(_X, dtype=np.uint8)
+    sgn[_C:_T] = par                                        # C negated when odd
     oct_sign = q[golay.OCTAD_COORDS] ^ golay.pair_bits(golay.OCTAD_COORDS, delta)
     # the suboctad label carries Omega^{|delta|/2}, and Omega -> -Omega when
     # the automorphism is odd
-    t_sgn = oct_sign[:, None] ^ _bits(par * _SUB_N64)
+    sgn[_T:].reshape(759, 64)[...] = oct_sign[:, None] ^ _bits(par * _SUB_N64)
 
+    # X, Z and Y go to the blocks dst, so odd automorphisms swap Z and Y.
+    # The minus block Y carries the sign of the canonical class
+    # representative; odd automorphisms also sign X coordinate (d, i) by
+    # P(d) + <d, i>
+    dst = np.array([0, 1 + par, 2 - par])
     ws = q[_CLASS_COORDS] ^ golay.pair_bits(_CLASS_COORDS, delta)
-    zero24 = np.zeros(24, dtype=np.int64)
-
-    # odd automorphisms swap Z and Y; the minus block Y carries the sign
-    # of the canonical class representative
-    zy_dst = {"Z": "Z", "Y": "Y"} if par == 0 else {"Z": "Y", "Y": "Z"}
-    xzy = {blk: _xzy_map(dst, pm.chi_img, ws ^ pm.bflip * (dst == "Y"), pm.img24, zero24)
-           for blk, dst in zy_dst.items()}
-    # odd automorphisms also sign X coordinate (d, i) by P(d) + <d, i>
-    xzy["X"] = ("X", pm.chi_img, pm.img24, ws[:, None] ^ _CLASS_PDI * np.uint8(par))
-    return _Maps(
-        a=(pm.img24, _bits(zero24)),
-        bc=(pm.bc_img, _bits(np.repeat([0, par], 276))),        # C negated when odd
-        t=_t_map(pm.oct_img, t_img_t, t_sgn),
-        xzy=xzy,
-    )
+    row_sgn = np.empty((3, 2048, 24), dtype=np.uint8)
+    row_sgn[...] = _bits(ws ^ pm.bflip * (dst[:, None] == 2))[:, :, None]
+    row_sgn[0] ^= _CLASS_PDI * np.uint8(par)
+    return _Maps(head=(pm.head, sgn),
+                 rows=((2048 * dst[:, None] + pm.chi_img).ravel(), pm.img24,
+                       row_sgn.reshape(6144, 24)))
 
 
 def _atom_maps(at: GeneratorAtom) -> _Maps:
@@ -468,42 +463,30 @@ def _atom_maps(at: GeneratorAtom) -> _Maps:
     return _pi_maps(aut_pl.diag_automorphism(golay.CocodeElement(at.payload)))
 
 
-def _then(f, g):
-    """(image, sign bits) of the map f followed by the map g."""
-    img, sgn = f
-    return g[0].take(img), sgn ^ g[1].take(img)
-
-
 def _compose(f: _Maps, g: _Maps) -> _Maps:
     """The monomial map f followed by g."""
-    xzy = {}
-    for blk, (dst, row, col, sgn) in f.xzy.items():
-        dst2, row2, col2, sgn2 = g.xzy[dst]
-        xzy[blk] = (dst2, row2.take(row), col2.take(col),
-                    sgn ^ sgn2.take(row, axis=0).take(col, axis=1))
-    return _Maps(_then(f.a, g.a), _then(f.bc, g.bc), _then(f.t, g.t), xzy)
+    (img, sgn), (row, col, row_sgn) = f
+    (img2, sgn2), (row2, col2, row_sgn2) = g
+    return _Maps((img2.take(img), sgn ^ sgn2.take(img)),
+                 (row2.take(row), col2.take(col),
+                  row_sgn ^ row_sgn2.take(row, axis=0).take(col, axis=1)))
 
 
 def _mono_table(p: int, maps: _Maps) -> GatherTable:
-    """Pull table of a monomial map over the whole vector."""
+    """Pull table mod p of a monomial map over the whole vector: the
+    destination of each source coordinate reads it.  The head is one
+    scatter.  X/Z/Y inverts the row and column images; the source index
+    is an outer sum over (row, column), and the sign the source sign bits
+    reordered to destination order."""
+    (img, sgn), (row, col, row_sgn) = maps
     src = np.empty(DIM, dtype=np.int32)
     bits = np.empty(DIM, dtype=np.uint8)
-
-    # A/B/C/T: scatter the push maps, coordinate c -> +-dst[c] for c < _X.
-    # Both entries (i, j) and (j, i) of A write the same coordinate alike.
-    (a_img, a_sgn), (bc_img, bc_sgn), (t_img, t_sgn) = maps.a, maps.bc, maps.t
-    dst = np.concatenate((_A_IDX[a_img[:, None], a_img].ravel(), _B + bc_img, _T + t_img))
-    src[dst] = np.concatenate((_A_IDX.ravel(), np.arange(_B, _X)))
-    bits[dst] = np.concatenate(((a_sgn[:, None] ^ a_sgn).ravel(), bc_sgn, t_sgn))
-
-    # X/Z/Y: invert the row and column maps; the source index is an outer
-    # sum over (row, point) and the sign the source sign bits reordered
-    for blk, (dname, rimg, cimg, sgn) in maps.xzy.items():
-        rinv, cinv = np.empty(2048, dtype=np.int64), np.empty(24, dtype=np.int64)
-        rinv[rimg], cinv[cimg] = np.arange(2048), np.arange(24)
-        view = np.s_[_BASE[dname]:_BASE[dname] + 49152]
-        np.add((_BASE[blk] + 24 * rinv)[:, None], cinv, out=src[view].reshape(2048, 24))
-        bits[view] = sgn.take(rinv, axis=0).take(cinv, axis=1).ravel()
+    src[img] = np.arange(_X)
+    bits[img] = sgn
+    rinv, cinv = np.empty(6144, dtype=np.int64), np.empty(24, dtype=np.int64)
+    rinv[row], cinv[col] = np.arange(6144), np.arange(24)
+    np.add((_X + 24 * rinv)[:, None], cinv, out=src[_X:].reshape(6144, 24))
+    bits[_X:] = row_sgn.take(rinv, axis=0).take(cinv, axis=1).ravel()
     bits *= np.uint8(p)
     return GatherTable(src, bits)
 

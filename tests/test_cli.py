@@ -218,6 +218,7 @@ def test_bench_smoke(capsys):
     out = capsys.readouterr().out
     assert "0.73" in out and "1.35" in out
     assert re.search(r"atoms\): \d+\.\d\d ms  \(\d+\.\d\dx the paper's 0\.73 ms\)", out)
+    assert re.search(r"\n    min of 1 runs; mean \d+\.\d\d ms\n", out)
     assert "kernels vs scalar reference" in out
 
 

@@ -1,3 +1,7 @@
+import re
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -84,9 +88,27 @@ def test_alias_io_and_equality(p, tmp_path):
     assert v == back and v != one and v != other
 
 
+def test_read_vector_rejects_oversized_file_unread(tmp_path):
+    """A valid file padded to 40 MB is rejected by its size, before any
+    more than one vector's bytes are read."""
+    path = tmp_path / "big.mmv"
+    mr.write_vector(mr.rand(7, 1), path)
+    with open(path, "r+b") as fh:
+        fh.truncate(40 * 2**20)                       # sparse padding
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{40 * 2**20} bytes"):
+            mr.read_vector(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 def test_scale_and_basis_vector_take_exact_integers():
     """scale takes an integer factor (numpy integers too); basis_vector
-    rejects indices outside 0..DIM-1."""
+    rejects indices outside 0..DIM-1 and indices that are not integers,
+    naming them."""
     v = mr.rand(7, 3)
     with pytest.raises(TypeError):
         mr.scale(v, 2.5)
@@ -94,7 +116,11 @@ def test_scale_and_basis_vector_take_exact_integers():
     for i in (-1, mr.DIM):
         with pytest.raises(ValueError, match="outside"):
             mr.basis_vector(7, i)
+    for i in (1.5, np.float64(2.0), "3"):
+        with pytest.raises(ValueError, match=re.escape(f"coordinate {i!r} is not an integer")):
+            mr.basis_vector(7, i)
     assert mr.basis_vector(7, mr.DIM - 1).buf[-1] == 1
+    assert mr.basis_vector(7, np.int16(5)) == mr.basis_vector(7, 5)
 
 
 def test_identity_atoms():
@@ -576,13 +602,31 @@ def test_fused_table_replaces_run_table(rng):
     assert list(mr._MONO_CACHE) == [(31, mr.MonomialRun(run, 1).key())]
 
 
+def _check_maps(maps):
+    """The head image maps A, B + C and T each onto itself; the rows part
+    permutes the 6144 rows and the 24 columns; every sign is a bit."""
+    (img, sgn), (row, col, row_sgn) = maps
+    assert img.dtype == np.int32 and img.shape == (mr._X,)
+    for lo, hi in ((0, mr._B), (mr._B, mr._T), (mr._T, mr._X)):
+        assert np.array_equal(np.sort(img[lo:hi]), np.arange(lo, hi))
+    assert np.array_equal(np.sort(row), np.arange(6144))
+    assert np.array_equal(np.sort(col), np.arange(24))
+    assert sgn.shape == (mr._X,) and row_sgn.shape == (6144, 24)
+    for bits in (sgn, row_sgn):
+        assert bits.dtype == np.uint8 and bits.max() <= 1
+
+
 @pytest.mark.parametrize("p", [3, 255])
 def test_monomial_tables_are_signed_permutations(p, rng):
-    """The pull table of every monomial tag, and of a composed run of all
-    of them, is a permutation of all coordinates with a sign mask of 0 or
-    p.  The run's tables fused with xi^e read the sources of xi's A,
-    B/C/T/X and Z/Y forward tables in some order, with such a mask."""
+    """The maps and the pull table of every monomial tag, and of a
+    composed run of all of them, are signed permutations: the table of
+    all coordinates, with a sign mask of 0 or p.  The run's tables fused
+    with xi^e read the sources of xi's A, B/C/T/X and Z/Y forward tables
+    in some order, with such a mask."""
     atoms = [_random_atom(rng, tag) for tag in "xyzdp" for _ in range(2)]
+    for at in atoms:
+        _check_maps(mr._atom_maps(at))
+    _check_maps(reduce(mr._compose, map(mr._atom_maps, atoms)))
     for at in atoms + [mr.MonomialRun(tuple(atoms))]:
         tab = mr._monomial_gather(p, at)
         assert np.array_equal(np.sort(tab.src), np.arange(mr.DIM))
@@ -592,6 +636,20 @@ def test_monomial_tables_are_signed_permutations(p, rng):
         for tab, xi_tab in zip(fused, mr._xi_reads(p, e), strict=True):
             assert np.array_equal(np.sort(tab.src), np.sort(xi_tab.src))
             assert set(np.unique(tab.neg).tolist()) <= {0, p}
+
+
+@pytest.mark.parametrize("p", ALL_P)
+@settings(max_examples=15, deadline=None)
+@given(tags=st.text("xyzdp", min_size=2, max_size=2), seed=st.integers(0, 2**32 - 1))
+def test_composed_maps_table_reads_through_both(p, tags, seed):
+    """The pull table of f followed by g, composed as maps, is the table
+    of f read through the table of g, byte for byte."""
+    rng = CounterRng(seed)
+    f, g = (mr._atom_maps(_random_atom(rng, tag)) for tag in tags)
+    want = mr._read_through(mr._mono_table(p, f), mr._mono_table(p, g))
+    got = mr._mono_table(p, mr._compose(f, g))
+    for a, b in ((got.src, want.src), (got.neg, want.neg)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _small_blocks(c, at, p):
@@ -664,7 +722,7 @@ def test_yz_suboctad_images_all_codewords(rng):
         want = (64 * octads[:, None] + (t ^ s[:, None])).ravel()
         for tag in "yz":
             e13 = ce | rng.int(2) << 12
-            assert np.array_equal(mr._xyz_maps(tag, e13).t[0], want), (tag, ce)
+            assert np.array_equal(mr._xyz_maps(tag, e13).head[0][mr._T:] - mr._T, want), (tag, ce)
 
 
 def test_pi_suboctad_images(rng):
@@ -678,7 +736,7 @@ def test_pi_suboctad_images(rng):
             pi = aut_pl.StdAutomorphism(golay.CocodeElement(pi.diag.coords ^ odd), pi.perm)
         assert aut_pl.parity(pi) == k % 2
         images = pi.perm.images
-        img = mr._pi_maps(pi).t[0].reshape(759, 64)
+        img = (mr._pi_maps(pi).head[0][mr._T:] - mr._T).reshape(759, 64)
         oct_img, t_img = img[:, 0] // 64, img % 64
         for o in rng.ints(50, 759):
             o, o_img = int(o), int(oct_img[o])
@@ -705,11 +763,14 @@ def _closed_form_delta_maps(delta):
     xzy["X"] = ("X", chi_id, id24, ws ^ p_di * np.uint8(par))
     oct_sign = golay.pair_bits(golay.OCTAD_COORDS, delta)[:, None]
     t_sgn = oct_sign ^ golay.SUB_NBIT[0] * np.uint8(par)
+    row0 = {"X": 0, "Z": 2048, "Y": 4096}
+    rows = [(row0[xzy[blk][0]] + xzy[blk][1], xzy[blk][3]) for blk in "XZY"]
     return mr._Maps(
-        a=(id24, np.zeros(24, dtype=np.uint8)),
-        bc=(np.arange(552), np.repeat(np.uint8([0, par]), 276)),
-        t=(np.arange(mr._X - mr._T, dtype=np.int32), t_sgn.ravel()),
-        xzy=xzy,
+        head=(np.arange(mr._X, dtype=np.int32),
+              np.concatenate((np.zeros(mr._C, dtype=np.uint8),
+                              np.repeat(np.uint8(par), 276), t_sgn.ravel()))),
+        rows=(np.concatenate([r for r, _ in rows]), id24,
+              np.concatenate([s for _, s in rows]).astype(np.uint8)),
     )
 
 
