@@ -26,11 +26,12 @@ Generator words act through four kernel families:
   (read from ``aut_pl``'s code image table) and adds the signs of the
   quadratic form and the diagonal part per atom; ``apply_word`` composes
   each maximal run of them into one signed permutation of the whole
-  vector, held as a pull table (``_kernels.GatherTable``) cached on the
-  run and applied by one gather; a run followed by the extra generator
-  that ``apply_word`` has seen before is instead read through that
-  generator's tables, composed with the run's into one fused cache entry,
-  so y x_pi x nu_delta xi^e takes three gathers;
+  vector, cached on the run in pull form (head, row and column sources
+  and a sign mask in source order) and applied as one XOR and three
+  takes; a run followed by the extra generator that ``apply_word`` has
+  seen before is instead read through that generator's tables, composed
+  with the run's into one fused cache entry, so y x_pi x nu_delta xi^e
+  takes three gathers;
 * the triality generator mixes (A_ij, B_ij, C_ij) by a 3x3 matrix with
   halving, rotates X -> Y -> Z -> X with sign masks, and applies H_64 / 8
   (``modp_core.hadamard_words``: a division by 8, six exact int16
@@ -141,6 +142,8 @@ class MmVector:
             residues(self.buf, self.mod.p), residues(other.buf, self.mod.p)))
 
     def __add__(self, other):
+        if not isinstance(other, MmVector):
+            return NotImplemented
         if self.mod.p != other.mod.p:
             raise ValueError("modulus mismatch")
         s = modp_core.add_words(self.buf.astype(np.uint16), other.buf, self.mod)
@@ -153,16 +156,16 @@ class MmVector:
         return f"MmVector(p={self.mod.p})"
 
 
-def _as_p(p) -> int:
-    return p.p if isinstance(p, Modulus) else int(p)
+def _modulus(p) -> Modulus:
+    return modulus(p.p if isinstance(p, Modulus) else p)
 
 
 def new_zero(p) -> MmVector:
-    return MmVector(modulus(_as_p(p)), np.zeros(DIM, dtype=np.uint8))
+    return MmVector(_modulus(p), np.zeros(DIM, dtype=np.uint8))
 
 
 def from_coords(p, vals) -> MmVector:
-    m = modulus(_as_p(p))
+    m = _modulus(p)
     vals = np.asarray(vals)
     if vals.shape != (DIM,):
         raise ValueError(f"expected {DIM} coordinates")
@@ -176,8 +179,8 @@ def from_coords(p, vals) -> MmVector:
 
 
 def rand(p, seed: int) -> MmVector:
-    p = _as_p(p)
-    return from_coords(p, _rng.rand_ints(seed, 0, DIM, p))
+    m = _modulus(p)
+    return from_coords(m, _rng.rand_ints(seed, 0, DIM, m.p))
 
 
 def add(a: MmVector, b: MmVector) -> MmVector:
@@ -299,7 +302,9 @@ def atom(tag: str, payload) -> GeneratorAtom:
 # one point map to the columns of all three, so the rows part needs no
 # block names: the swap of Z and Y by an odd automorphism is a row offset.
 # The form is closed under composition (``_compose``), so a run of
-# monomial atoms becomes one map, one pull table and one gather.
+# monomial atoms becomes one map.  It acts in pull form (``_Pull``), with
+# the signs still in source order: a run negates its input, then moves
+# the head by one take and X/Z/Y by a row take and a column take.
 
 _MONOMIAL_TAGS = frozenset("xyzpd")
 
@@ -313,6 +318,13 @@ _CLASS_PDI = _CLASS_PBIT[:, None] ^ _CLASS_DI
 class _Maps(NamedTuple):
     head: tuple     # (image, sign bits) of the coordinates below X
     rows: tuple     # (row image, column image, sign bits) of X/Z/Y
+
+
+class _Pull(NamedTuple):
+    head: np.ndarray    # int32 source of each coordinate below X
+    rows: np.ndarray    # source of each of the 6144 rows of X/Z/Y
+    cols: np.ndarray    # source of each of the 24 columns
+    mask: np.ndarray    # 0 or p per coordinate, in source order
 
 
 def _bits(s):
@@ -472,23 +484,14 @@ def _compose(f: _Maps, g: _Maps) -> _Maps:
                   row_sgn ^ row_sgn2.take(row, axis=0).take(col, axis=1)))
 
 
-def _mono_table(p: int, maps: _Maps) -> GatherTable:
-    """Pull table mod p of a monomial map over the whole vector: the
-    destination of each source coordinate reads it.  The head is one
-    scatter.  X/Z/Y inverts the row and column images; the source index
-    is an outer sum over (row, column), and the sign the source sign bits
-    reordered to destination order."""
+def _pull(p: int, maps: _Maps) -> _Pull:
+    """Pull form mod p of a monomial map: the inverse images, and the
+    sign bits times p, left in source order."""
     (img, sgn), (row, col, row_sgn) = maps
-    src = np.empty(DIM, dtype=np.int32)
-    bits = np.empty(DIM, dtype=np.uint8)
-    src[img] = np.arange(_X)
-    bits[img] = sgn
-    rinv, cinv = np.empty(6144, dtype=np.int64), np.empty(24, dtype=np.int64)
-    rinv[row], cinv[col] = np.arange(6144), np.arange(24)
-    np.add((_X + 24 * rinv)[:, None], cinv, out=src[_X:].reshape(6144, 24))
-    bits[_X:] = row_sgn.take(rinv, axis=0).take(cinv, axis=1).ravel()
-    bits *= np.uint8(p)
-    return GatherTable(src, bits)
+    head = np.empty(_X, dtype=np.int32)
+    rows, cols = np.empty(6144, dtype=np.intp), np.empty(24, dtype=np.intp)
+    head[img], rows[row], cols[col] = np.arange(_X), np.arange(6144), np.arange(24)
+    return _Pull(head, rows, cols, np.concatenate((sgn, row_sgn.ravel())) * np.uint8(p))
 
 
 @dataclass(frozen=True)
@@ -508,29 +511,32 @@ class MonomialRun:
 _MONO_CACHE = {}
 
 
-def _read_through(g: GatherTable, t: GatherTable) -> GatherTable:
-    """One pull table for the pull table g followed by t, which reads
-    g's output."""
-    neg = g.neg.take(t.src, mode="clip")
-    neg ^= t.neg
-    return GatherTable(g.src.take(t.src, mode="clip"), neg)
+def _read_through(f: _Pull, reads) -> tuple:
+    """Pull tables for the map f followed by each table of reads, which
+    reads f's output: f's int32 source index of the whole vector, built
+    once, read through each, with f's mask at those sources."""
+    src = np.empty(DIM, dtype=np.int32)
+    src[:_X] = f.head
+    np.add((_X + 24 * f.rows)[:, None], f.cols, out=src[_X:].reshape(6144, 24))
+    srcs = [src.take(t.src, mode="clip") for t in reads]
+    return tuple(GatherTable(s, f.mask.take(s) ^ t.neg) for s, t in zip(srcs, reads))
 
 
 def _monomial_gather(p: int, at):
-    """Pull table mod p of a monomial atom or of a MonomialRun; a run
-    of one atom shares its atom's cache entry.  For a run fused with xi^e
-    it is xi's A, B/C/T/X and Z/Y forward tables (``_xi_reads``) read
-    through the run's table, which this pops from the cache: the fused
-    entry takes its place."""
+    """Pull form mod p of a monomial atom or of a MonomialRun; a run of
+    one atom shares its atom's cache entry.  For a run fused with xi^e it
+    is xi's A, B/C/T/X and Z/Y forward tables (``_xi_reads``) read through
+    the run's pull form, which this pops from the cache: the fused entry
+    takes its place."""
     key = (p, at.key())
     hit = _MONO_CACHE.get(key)
     if hit is not None:
         return hit
     run = at if isinstance(at, MonomialRun) else MonomialRun((at,))
-    g = _MONO_CACHE.pop((p, MonomialRun(run.atoms).key()), None) if run.xi else None
-    if g is None:
-        g = _mono_table(p, reduce(_compose, map(_atom_maps, run.atoms)))
-    table = tuple(_read_through(g, t) for t in _xi_reads(p, run.xi)) if run.xi else g
+    f = _MONO_CACHE.pop((p, MonomialRun(run.atoms).key()), None) if run.xi else None
+    if f is None:
+        f = _pull(p, reduce(_compose, map(_atom_maps, run.atoms)))
+    table = _read_through(f, _xi_reads(p, run.xi)) if run.xi else f
     if len(_MONO_CACHE) > 128:
         _MONO_CACHE.clear()
     _MONO_CACHE[key] = table
@@ -538,8 +544,12 @@ def _monomial_gather(p: int, at):
 
 
 def _apply_monomial(v: MmVector, at) -> MmVector:
+    f = _monomial_gather(v.p, at)
     out = MmVector(v.mod, np.empty_like(v.buf))
-    gather_signed(out.buf, v.buf, _monomial_gather(v.p, at))
+    np.take(v.buf[:_X] ^ f.mask[:_X], f.head, out=out.buf[:_X], mode="clip")
+    # a row of X/Z/Y is 24 bytes, three uint64: move rows, then columns
+    rows = (v.buf[_X:] ^ f.mask[_X:]).view(np.uint64).reshape(6144, 3).take(f.rows, axis=0)
+    rows.view(np.uint8).take(f.cols, axis=1, out=out.buf[_X:].reshape(6144, 24), mode="clip")
     return out
 
 
@@ -557,10 +567,20 @@ def _tau_masks(p: int):
     return di.ravel(), (di ^ pp).ravel(), pp.ravel(), t_neg, reindex
 
 
-def apply_tau(v: MmVector, e: int) -> MmVector:
-    """tau^e in one pass; tau^2 = tau^-1 runs every step of tau inverted."""
+def _exponent(e) -> int:
+    """The exponent e of tau or xi, read exactly: 1 or 2."""
+    try:
+        e = operator.index(e)
+    except TypeError:
+        raise ValueError(f"exponent must be an integer, not {e!r}") from None
     if e not in (1, 2):
         raise ValueError("exponent must be 1 or 2")
+    return e
+
+
+def apply_tau(v: MmVector, e: int) -> MmVector:
+    """tau^e in one pass; tau^2 = tau^-1 runs every step of tau inverted."""
+    e = _exponent(e)
     p, m, lay = v.p, v.mod, layout(v.p)
     mask_di, mask_dp, mask_p, t_neg, reindex = _tau_masks(p)
     out = MmVector(m, np.empty_like(v.buf))
@@ -746,8 +766,7 @@ def _xi_reads(p: int, e: int):
 def apply_xi(v: MmVector, e: int, *, run: tuple = ()) -> MmVector:
     """xi^e; with run, the monomial atoms run and then xi^e, as one step
     that reads through tables fused from both (see ``apply_word``)."""
-    if e not in (1, 2):
-        raise ValueError("exponent must be 1 or 2")
+    e = _exponent(e)
     p, m, lay = v.p, v.mod, layout(v.p)
     out = MmVector(m, np.empty_like(v.buf))
     a, short, fwd = (_monomial_gather(p, MonomialRun(run, e)) if run

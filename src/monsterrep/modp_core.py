@@ -22,6 +22,7 @@ signed int16, whose values stay within +-64p <= 16320, and reduces once
 at the end.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +47,11 @@ _MODULI = {p: Modulus(p) for p in ALLOWED_P}
 
 
 def modulus(p: int) -> Modulus:
+    """The modulus p, an integer (numpy integers too) in ALLOWED_P."""
     try:
-        return _MODULI[p]
-    except KeyError:
-        raise ValueError(f"modulus must be one of {ALLOWED_P}, got {p}") from None
+        return _MODULI[operator.index(p)]
+    except (TypeError, KeyError):
+        raise ValueError(f"modulus must be one of {ALLOWED_P}, got {p!r}") from None
 
 
 def add_words(a, b, m: Modulus):

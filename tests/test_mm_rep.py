@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from monsterrep import aut_pl, golay, mm_rep as mr, parker_loop as pl, qx_leech as qx
 from monsterrep import modp_core, scalar_ref
+from monsterrep._kernels import GatherTable, gather_signed
 from monsterrep._rng import CounterRng
 from monsterrep.mm_rep import GeneratorAtom as A
 
@@ -25,6 +26,8 @@ def test_vector_basics(p, rng):
     c = v.unpack()
     assert c.shape == (mr.DIM,)
     assert mr.from_coords(p, c) == v
+    with pytest.raises(TypeError):
+        v + 1
 
 
 def test_from_coords_validation():
@@ -37,6 +40,14 @@ def test_from_coords_validation():
             mr.from_coords(3, vals)
     assert mr.from_coords(3, np.ones(mr.DIM, dtype=bool)) == \
         mr.from_coords(3, np.ones(mr.DIM, dtype=np.uint16))
+    for p in (3.5, 3.0, "3"):                                   # not truncated
+        with pytest.raises(ValueError, match=re.escape(f"got {p!r}")):
+            mr.from_coords(p, np.zeros(mr.DIM, dtype=np.uint8))
+        with pytest.raises(ValueError, match=re.escape(f"got {p!r}")):
+            mr.new_zero(p)
+        with pytest.raises(ValueError, match=re.escape(f"got {p!r}")):
+            mr.rand(p, 1)
+    assert mr.from_coords(np.int64(3), np.ones(mr.DIM, dtype=np.uint8)).mod == modp_core.modulus(3)
 
 
 def test_norm_form_weights():
@@ -157,6 +168,13 @@ def test_atom_validation():
     for payload in (np.int64(0x1a3), np.uint16(0x1a3)):
         assert mr.apply_atom(v, A("x", payload)) == mr.apply_atom(v, A("x", 0x1a3))
     assert mr.apply_atom(v, A("l", np.int8(1))) == mr.apply_xi(v, 1)
+    for apply in (mr.apply_tau, mr.apply_xi):
+        for e in (1.0, 1.5, "1", None):
+            with pytest.raises(ValueError, match="integer"):
+                apply(v, e)
+        with pytest.raises(ValueError, match="1 or 2"):
+            apply(v, 3)
+        assert apply(v, np.int64(2)) == apply(v, 2)
 
 
 @pytest.mark.parametrize("p", [3, 255])
@@ -602,6 +620,41 @@ def test_fused_table_replaces_run_table(rng):
     assert list(mr._MONO_CACHE) == [(31, mr.MonomialRun(run, 1).key())]
 
 
+def _mono_table(p, maps):
+    """Oracle: the pull table mod p of a monomial map over the whole
+    vector, an int32 source index and a sign mask per destination.  The
+    head is one scatter; X/Z/Y inverts the row and column images, the
+    source index is an outer sum over (row, column), and the sign the
+    source sign bits reordered to destination order."""
+    (img, sgn), (row, col, row_sgn) = maps
+    src = np.empty(mr.DIM, dtype=np.int32)
+    bits = np.empty(mr.DIM, dtype=np.uint8)
+    src[img] = np.arange(mr._X)
+    bits[img] = sgn
+    rinv, cinv = np.empty(6144, dtype=np.int64), np.empty(24, dtype=np.int64)
+    rinv[row], cinv[col] = np.arange(6144), np.arange(24)
+    np.add((mr._X + 24 * rinv)[:, None], cinv, out=src[mr._X:].reshape(6144, 24))
+    bits[mr._X:] = row_sgn.take(rinv, axis=0).take(cinv, axis=1).ravel()
+    bits *= np.uint8(p)
+    return GatherTable(src, bits)
+
+
+def _table_read_through(g, t):
+    """Oracle: one pull table for the pull table g followed by t, which
+    reads g's output."""
+    neg = g.neg.take(t.src, mode="clip")
+    neg ^= t.neg
+    return GatherTable(g.src.take(t.src, mode="clip"), neg)
+
+
+def _as_table(f):
+    """The pull table of the pull form f: its full source index, and its
+    mask read at those sources."""
+    rows = mr._X + 24 * f.rows[:, None] + f.cols
+    src = np.concatenate((f.head, rows.ravel())).astype(np.int32)
+    return GatherTable(src, f.mask.take(src))
+
+
 def _check_maps(maps):
     """The head image maps A, B + C and T each onto itself; the rows part
     permutes the 6144 rows and the 24 columns; every sign is a bit."""
@@ -628,7 +681,7 @@ def test_monomial_tables_are_signed_permutations(p, rng):
         _check_maps(mr._atom_maps(at))
     _check_maps(reduce(mr._compose, map(mr._atom_maps, atoms)))
     for at in atoms + [mr.MonomialRun(tuple(atoms))]:
-        tab = mr._monomial_gather(p, at)
+        tab = _as_table(mr._monomial_gather(p, at))
         assert np.array_equal(np.sort(tab.src), np.arange(mr.DIM))
         assert set(np.unique(tab.neg).tolist()) <= {0, p}
     for e in (1, 2):
@@ -646,10 +699,35 @@ def test_composed_maps_table_reads_through_both(p, tags, seed):
     of f read through the table of g, byte for byte."""
     rng = CounterRng(seed)
     f, g = (mr._atom_maps(_random_atom(rng, tag)) for tag in tags)
-    want = mr._read_through(mr._mono_table(p, f), mr._mono_table(p, g))
-    got = mr._mono_table(p, mr._compose(f, g))
+    want = _table_read_through(_mono_table(p, f), _mono_table(p, g))
+    got = _mono_table(p, mr._compose(f, g))
     for a, b in ((got.src, want.src), (got.neg, want.neg)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("p", ALL_P)
+@settings(max_examples=6, deadline=None)
+@given(tags=_RUN, seed=st.integers(0, 2**32 - 1))
+def test_pull_form_equals_table_oracle(p, tags, seed):
+    """A run of monomial atoms applied in pull form, on input holding the
+    alias p in a third of its coordinates, is byte-equal to the oracle
+    table's signed gather; its tables fused with xi^e equal the oracle's
+    table read through xi's reads, in dtype, shape and bytes."""
+    rng = CounterRng(seed)
+    run = tuple(_random_atom(rng, tag) for tag in tags)
+    table = _mono_table(p, reduce(mr._compose, map(mr._atom_maps, run)))
+    v = mr.rand(p, seed % 1000)
+    v.buf[rng.ints(mr.DIM, 3) == 0] = p
+    want = np.empty_like(v.buf)
+    gather_signed(want, v.buf, table)
+    mr._MONO_CACHE.clear()
+    assert mr._apply_monomial(v, mr.MonomialRun(run)).buf.tobytes() == want.tobytes()
+    for e in (1, 2):
+        fused = mr._monomial_gather(p, mr.MonomialRun(run, e))
+        for got, t in zip(fused, mr._xi_reads(p, e), strict=True):
+            oracle = _table_read_through(table, t)
+            for a, b in ((got.src, oracle.src), (got.neg, oracle.neg)):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def _small_blocks(c, at, p):
@@ -781,7 +859,7 @@ def test_delta_tables_equal_closed_form(p, rng):
     deltas = [0, golay.syndrome(1).coords] + [int(d) for d in rng.ints(6, 4096)]
     assert {golay.CocodeElement(d).weight % 2 for d in deltas} == {0, 1}
     for d in deltas:
-        got = mr._monomial_gather(p, A("d", d))
-        want = mr._mono_table(p, _closed_form_delta_maps(d))
+        got = _as_table(mr._monomial_gather(p, A("d", d)))
+        want = _mono_table(p, _closed_form_delta_maps(d))
         for a, b in ((got.src, want.src), (got.neg, want.neg)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), d

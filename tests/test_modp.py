@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,10 @@ def test_bad_modulus_rejected():
         mc.Modulus(5)
     with pytest.raises(TypeError):          # k follows from p
         mc.Modulus(3, 5)
+    for p in (3.0, 3.5, np.float64(7.0), "7", None):       # not truncated
+        with pytest.raises(ValueError, match=re.escape(f"got {p!r}")):
+            mc.modulus(p)
+    assert mc.modulus(np.uint8(255)) is mc.modulus(255)
 
 
 @pytest.mark.parametrize("p", ALL_P)
