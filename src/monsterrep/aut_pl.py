@@ -35,7 +35,9 @@ class Perm24:
     images: tuple
 
     def __post_init__(self):
-        if sorted(self.images) != list(range(24)):
+        images = tuple(golay.exact_int(i, "image") for i in self.images)
+        object.__setattr__(self, "images", images)
+        if sorted(images) != list(range(24)):
             raise ValueError("not a permutation of 0..23")
 
     def __getitem__(self, i):

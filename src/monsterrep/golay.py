@@ -21,6 +21,7 @@ is a plain AND-parity of coordinate words.  In these coordinates the
 grey subspaces are exactly the low 6 bits on both sides.
 """
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -42,13 +43,24 @@ F4_MUL = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
 HEXACODE_GENS = ((1, 0, 0, 1, 3, 2), (0, 1, 0, 1, 2, 3), (0, 0, 1, 1, 1, 1))
 
 
+def exact_int(x, what: str) -> int:
+    """x read exactly as an int (numpy integers too); anything else, a
+    float with an integral value included, raises ValueError."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, not {x!r}") from None
+
+
 @dataclass(frozen=True)
 class HexacodeWord:
     """Six F4 digits, two bits each."""
     digits: tuple
 
     def __post_init__(self):
-        if len(self.digits) != 6 or any(d not in (0, 1, 2, 3) for d in self.digits):
+        digits = tuple(exact_int(d, "hexacode digit") for d in self.digits)
+        object.__setattr__(self, "digits", digits)
+        if len(digits) != 6 or any(d not in (0, 1, 2, 3) for d in digits):
             raise ValueError("hexacode word needs six digits in {0,1,a,a'}")
 
     def is_in_hexacode(self) -> bool:
@@ -178,6 +190,7 @@ class GolayCodeword:
     coords: int
 
     def __post_init__(self):
+        object.__setattr__(self, "coords", exact_int(self.coords, "codeword"))
         if not 0 <= self.coords < 4096:
             raise ValueError("codeword coordinates must fit in 12 bits")
 
@@ -195,6 +208,7 @@ class CocodeElement:
     coords: int
 
     def __post_init__(self):
+        object.__setattr__(self, "coords", exact_int(self.coords, "cocode element"))
         if not 0 <= self.coords < 4096:
             raise ValueError("cocode coordinates must fit in 12 bits")
 

@@ -34,9 +34,9 @@ Generator words act through four kernel families:
   takes three gathers;
 * the triality generator mixes (A_ij, B_ij, C_ij) by a 3x3 matrix with
   halving, rotates X -> Y -> Z -> X with sign masks, and applies H_64 / 8
-  (``modp_core.hadamard_words``: a division by 8, six exact int16
-  butterfly layers and one reduction mod p) to the 64 suboctads of each
-  octad of T;
+  (``modp_core.hadamard_words``: six exact int16 butterfly layers, then
+  the division by 8 and the reduction mod p as one table lookup) to the
+  64 suboctads of each octad of T;
 * the extra generator acts monomially on B/C/T/X through conjugation in
   the extraspecial group, by 4x4 column blocks on A, and on Z/Y by
   H_16 (x) H_4 = H_64 / 8, the same kernel, between two signed gathers
@@ -267,8 +267,7 @@ class GeneratorAtom:
             if not 0 <= self.payload < 4096:
                 raise ValueError("cocode payload must fit in 12 bits")
         elif self.tag in ("t", "l"):
-            if self.payload not in (1, 2):
-                raise ValueError("exponent must be 1 or 2")
+            qx_leech.exponent(self.payload)
         elif self.tag == "p":
             if not isinstance(self.payload, StdAutomorphism):
                 raise ValueError("p atom needs a standard automorphism")
@@ -567,20 +566,9 @@ def _tau_masks(p: int):
     return di.ravel(), (di ^ pp).ravel(), pp.ravel(), t_neg, reindex
 
 
-def _exponent(e) -> int:
-    """The exponent e of tau or xi, read exactly: 1 or 2."""
-    try:
-        e = operator.index(e)
-    except TypeError:
-        raise ValueError(f"exponent must be an integer, not {e!r}") from None
-    if e not in (1, 2):
-        raise ValueError("exponent must be 1 or 2")
-    return e
-
-
 def apply_tau(v: MmVector, e: int) -> MmVector:
     """tau^e in one pass; tau^2 = tau^-1 runs every step of tau inverted."""
-    e = _exponent(e)
+    e = qx_leech.exponent(e)
     p, m, lay = v.p, v.mod, layout(v.p)
     mask_di, mask_dp, mask_p, t_neg, reindex = _tau_masks(p)
     out = MmVector(m, np.empty_like(v.buf))
@@ -632,6 +620,8 @@ class Basis4096Index:
     h: int
 
     def __post_init__(self):
+        for name in ("sigma", "kappa", "d", "h"):
+            object.__setattr__(self, name, golay.exact_int(getattr(self, name), name))
         if not (self.sigma in (0, 1) and self.kappa in (0, 1)
                 and 0 <= self.d < 16 and 0 <= self.h < 64):
             raise ValueError("index out of range")
@@ -766,7 +756,7 @@ def _xi_reads(p: int, e: int):
 def apply_xi(v: MmVector, e: int, *, run: tuple = ()) -> MmVector:
     """xi^e; with run, the monomial atoms run and then xi^e, as one step
     that reads through tables fused from both (see ``apply_word``)."""
-    e = _exponent(e)
+    e = qx_leech.exponent(e)
     p, m, lay = v.p, v.mod, layout(v.p)
     out = MmVector(m, np.empty_like(v.buf))
     a, short, fwd = (_monomial_gather(p, MonomialRun(run, e)) if run

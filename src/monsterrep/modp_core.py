@@ -16,14 +16,15 @@ bits, so the arithmetic runs on uint16 at every p; the vectors of
 ``mm_rep`` store one uint8 per coordinate and widen where they add.
 
 ``hadamard_words`` (H_64 / 8, the block the triality and extra generators
-share) does not reduce between its layers: it divides by 8 with one
-rotation, runs six exact add/subtract layers (``butterfly_words``) on
-signed int16, whose values stay within +-64p <= 16320, and reduces once
-at the end.
+share) does not reduce between its layers: it runs six exact
+add/subtract layers (``butterfly_words``) on signed int16, whose values
+stay within +-64p <= 16320 < 2^15, and then divides by 8 and reduces
+with one lookup in a per-modulus table that is exact for every int16.
 """
 
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,9 +39,14 @@ class Modulus:
     k: int = field(init=False)
 
     def __post_init__(self):
-        if self.p not in ALLOWED_P:
-            raise ValueError(f"modulus must be one of {ALLOWED_P}, got {self.p}")
-        object.__setattr__(self, "k", self.p.bit_length())
+        try:
+            p = operator.index(self.p)
+        except TypeError:
+            p = None
+        if p not in ALLOWED_P:
+            raise ValueError(f"modulus must be one of {ALLOWED_P}, got {self.p!r}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", p.bit_length())
 
 
 _MODULI = {p: Modulus(p) for p in ALLOWED_P}
@@ -81,43 +87,31 @@ def butterfly_words(a, b, s, d):
     return s, d
 
 
-def _fold_bound(bound: int, m: Modulus) -> int:
-    """The largest (u & p) + (u >> k) over 0 <= u <= bound."""
-    q = bound >> m.k
-    return max(m.p + q - 1, (bound & m.p) + q) if q else bound
+@lru_cache(maxsize=None)
+def _div8_table(p: int):
+    """Entry u is (v / 8) mod p, v the int16 whose bit pattern is u."""
+    v = np.arange(1 << 16, dtype=np.uint16).view(np.int16).astype(np.int64)
+    return (v * pow(8, -1, p) % p).astype(np.uint16)
 
 
 def hadamard_words(a, m: Modulus):
     """In place, a <- (H_64 / 8) a along axis 0 of a C-contiguous (64, ...)
     uint16 array of values 0..p, H_64 the Sylvester Hadamard matrix.
 
-    The input is divided by 8 first (a right rotation by 3 mod k bits).
-    Then six exact butterfly layers on the index bits run on int16,
-    ping-pong between a and one scratch array, so the sixth lands back in
-    a; every value is then within +-64p (+-16320 at p = 255).  One shift
-    by 64p and end-around-carry folds, as many as that bound needs, bring
-    the result back to 0..p."""
+    Six exact butterfly layers on the index bits run on int16, ping-pong
+    between a and one scratch array, so the sixth lands back in a; every
+    value v is then within +-64p (+-16320 at p = 255), inside int16.  One
+    take through a 65536-entry table of (v / 8) mod p, cached per modulus
+    and exact for every int16, brings the result to 0..p - 1."""
     if a.shape[:1] != (64,) or a.dtype != np.uint16 or not a.flags.c_contiguous:
         raise ValueError("hadamard_words needs a C-contiguous (64, ...) uint16 array")
-    k, p = m.k, m.p
     tmp = np.empty_like(a)
-    r = 3 % k
-    if r:
-        np.bitwise_and(a, (1 << r) - 1, out=tmp)
-        tmp <<= k - r
-        a >>= r
-        a |= tmp
     src, dst = a.view(np.int16), tmp.view(np.int16)
     for layer in range(6):
         shape = (32 >> layer, 2, 1 << layer, -1)
         x, y = src.reshape(shape), dst.reshape(shape)
         butterfly_words(x[:, 0], x[:, 1], y[:, 0], y[:, 1])
         src, dst = dst, src
-    a += 64 * p                 # as uint16: wraps -64p..64p onto 0..128p
-    bound = 128 * p
-    while bound > p:
-        np.right_shift(a, k, out=tmp)
-        a &= p
-        a += tmp
-        bound = _fold_bound(bound, m)
-    return a
+    # mode "clip" never clips, as every uint16 indexes the table, and
+    # unlike "raise" it does not buffer the output
+    return np.take(_div8_table(m.p), a, out=a, mode="clip")

@@ -94,6 +94,7 @@ class ParkerLoopElement:
     value: int
 
     def __post_init__(self):
+        object.__setattr__(self, "value", golay.exact_int(self.value, "loop element"))
         if not 0 <= self.value < 8192:
             raise ValueError("loop element must fit in 13 bits")
 

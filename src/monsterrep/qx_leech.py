@@ -41,6 +41,7 @@ class QxElement:
     value: int
 
     def __post_init__(self):
+        object.__setattr__(self, "value", golay.exact_int(self.value, "element"))
         if not 0 <= self.value < 1 << 25:
             raise ValueError("element must fit in 25 bits")
 
@@ -233,11 +234,28 @@ def canonical_code(c):
     return c ^ (((c >> 5) & 1) * OMEGA_C)
 
 
+# kind -> (bound of a, bound of b) of a short-vector label; B and C
+# label a pair of distinct points a, b, T an octad and a suboctad, X a
+# code class and a point
+_SHORT_BOUNDS = {"B": (24, 24), "C": (24, 24), "T": (759, 64), "X": (2048, 24)}
+
+
 @dataclass(frozen=True)
 class ShortVectorIndex:
     kind: str                       # 'B', 'C', 'T', 'X'
     a: int
     b: int
+
+    def __post_init__(self):
+        a = golay.exact_int(self.a, "short vector label")
+        b = golay.exact_int(self.b, "short vector label")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if self.kind not in ("B", "C", "T", "X"):
+            raise ValueError(f"short vector kind must be B, C, T or X, not {self.kind!r}")
+        na, nb = _SHORT_BOUNDS[self.kind]
+        if not (0 <= a < na and 0 <= b < nb) or (self.kind in "BC" and a == b):
+            raise ValueError(f"no short vector {self.kind!r} {a}, {b}")
 
     @property
     def flat(self) -> int:
@@ -488,13 +506,20 @@ def conj_by_xi_value(v: int, e: int) -> int:
     return s << 24 | ((c & 0xFC0) | ng) << 12 | ((f & 0xFC0) | ncoc)
 
 
-def conj_by_xi(a: QxElement, e: int) -> QxElement:
+def exponent(e) -> int:
+    """The exponent e of tau or xi, read exactly: 1 or 2."""
+    e = golay.exact_int(e, "exponent")
     if e not in (1, 2):
         raise ValueError("exponent must be 1 or 2")
-    return QxElement(conj_by_xi_value(a.value, e))
+    return e
+
+
+def conj_by_xi(a: QxElement, e: int) -> QxElement:
+    return QxElement(conj_by_xi_value(a.value, exponent(e)))
 
 
 def conj_by_xi_vec(vals, e: int) -> np.ndarray:
+    e = exponent(e)
     v = np.asarray(vals, dtype=np.int64)
     c = (v >> 12) & 0xFFF
     f = v & 0xFFF
@@ -508,11 +533,9 @@ def conj_by_xi_vec(vals, e: int) -> np.ndarray:
     if e == 1:
         ds = w2t[pc_e] ^ bip
         ng, nt = te, d6 ^ te
-    elif e == 2:
+    else:
         ds = w2t[pc_d] ^ bip
         ng, nt = d6 ^ te, d6
-    else:
-        raise ValueError("exponent must be 1 or 2")
     ncoc = nt ^ (golay.pair_bits(nt, 0x3F).astype(np.int64) * 0x3F)
     keep = 0x1FFFFFF ^ (0x3F << 12) ^ 0x3F        # sign, coloured parts
     return ((v ^ (ds << 24)) & keep) | (ng << 12) | ncoc
@@ -532,14 +555,12 @@ XI4_NUM = (
 
 def xi24_matrix_num(e: int) -> np.ndarray:
     """Twice the 24x24 matrix (integer entries; block diagonal)."""
-    return np.kron(np.eye(6, dtype=np.int64), XI4_NUM[e - 1])
+    return np.kron(np.eye(6, dtype=np.int64), XI4_NUM[exponent(e) - 1])
 
 
 def xi24_matrix(e: int) -> np.ndarray:
     """The orthogonal order-3 matrix acting on 24 coordinates
     (coordinate rows transform as c -> c @ M)."""
-    if e not in (1, 2):
-        raise ValueError("exponent must be 1 or 2")
     return xi24_matrix_num(e) / 2.0
 
 

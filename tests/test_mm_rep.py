@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from functools import reduce
@@ -154,8 +155,10 @@ def test_central_element():
 def test_atom_validation():
     with pytest.raises(ValueError):
         A("x", 8192)
-    with pytest.raises(ValueError):
-        A("t", 3)
+    for tag in ("t", "l"):
+        for e in (0, 3, np.int64(3)):
+            with pytest.raises(ValueError, match="1 or 2"):
+                A(tag, e)
     with pytest.raises(ValueError):
         A("q", 1)
     with pytest.raises(ValueError):
@@ -507,6 +510,41 @@ def test_random_word_invariants(p, rng):
     word = [_random_atom(rng, "xyzdptl") for _ in range(8)]
     inverse = [_atom_inverse(at) for at in reversed(word)]
     assert _apply_checked(_apply_checked(v, word), inverse) == v
+
+
+# the primes that divide the order of the Monster; its elements have order <= 119
+_MONSTER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 47, 59, 71)
+
+
+def _order_on(vs, word):
+    """The lcm of the periods of the vectors vs under repeated word, or
+    None if one of them has not come back after 119 steps."""
+    periods, ws = [None] * len(vs), list(vs)
+    for n in range(1, 120):
+        ws = [mr.apply_word(w, word) for w in ws]
+        for i, (v, w) in enumerate(zip(vs, ws)):
+            if periods[i] is None and w == v:
+                periods[i] = n
+        if None not in periods:
+            return math.lcm(*periods)
+    return None
+
+
+def test_element_orders_agree_across_moduli():
+    """A word is one element of the Monster, so its order, seen on two
+    random vectors, is found within 119 steps, is the same mod 3 and mod 7,
+    and has no prime factor outside those of the Monster's order."""
+    rng = CounterRng(2323)
+    for _ in range(3):
+        word = [_random_atom(rng, "xyzdptl") for _ in range(10)]
+        orders = {_order_on([mr.rand(p, rng.int(1 << 30)) for _ in range(2)], word)
+                  for p in (3, 7)}
+        assert len(orders) == 1 and None not in orders
+        (n,) = orders
+        for q in _MONSTER_PRIMES:
+            while n % q == 0:
+                n //= q
+        assert n == 1
 
 
 def test_check_vector_rejects():

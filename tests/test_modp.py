@@ -42,6 +42,12 @@ def test_bad_modulus_rejected():
         mc.modulus(63)
     with pytest.raises(ValueError):
         mc.Modulus(5)
+    for p in (3.0, 3.5, "7", None):
+        with pytest.raises(ValueError, match=re.escape(f"got {p!r}")):
+            mc.Modulus(p)
+    for p in (np.int64(3), np.uint8(255)):
+        m = mc.Modulus(p)
+        assert type(m.p) is int and m == mc.modulus(p)
     with pytest.raises(TypeError):          # k follows from p
         mc.Modulus(3, 5)
     for p in (3.0, 3.5, np.float64(7.0), "7", None):       # not truncated
@@ -181,10 +187,12 @@ def test_hadamard_words_matches_sylvester(p):
     rng = np.random.default_rng(p)
     idx = np.arange(64)
     H = 1 - 2 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(np.int64)
-    vals = rng.integers(0, p + 1, size=(64, 4, 2), dtype=np.uint16)
+    vals = rng.integers(0, p + 1, size=(64, 5, 2), dtype=np.uint16)
     vals[:, 0, 0] = p           # a whole alias column: 64p in row 0 before reduction
     # (p - 1) times rows of H_64: H_64 takes each to 64(p - 1) in that row
-    vals[:, 1:, 1] = (p - 1) * H[[0, 21, 63]].T % p
+    vals[:, 1:4, 1] = (p - 1) * H[[0, 21, 63]].T % p
+    # p where row 63 of H_64 is -1: -32p in row 63 before the division
+    vals[:, 4, 1] = np.where(H[63] < 0, p, 0)
     x = vals.astype(np.int64) % p
     assert mc.hadamard_words(vals, m) is vals
     want = np.tensordot(H, x, axes=(1, 0)) * pow(8, -1, p) % p

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from monsterrep import aut_pl, golay, parker_loop as pl, qx_leech as qx
-from monsterrep.golay import CocodeElement, GolayCodeword
+from monsterrep.golay import CocodeElement, GolayCodeword, HexacodeWord
+from monsterrep.mm_rep import Basis4096Index
 from monsterrep.parker_loop import ParkerLoopElement
 from monsterrep.qx_leech import (QX_ONE, QxElement, ShortVectorIndex,
                                  conj_by_gen, conj_by_xi, from_short_index,
@@ -178,6 +179,12 @@ def test_conj_by_xi_order_three_sampled(rng):
                           qx.conj_by_xi_vec(qx.conj_by_xi_vec(v, 1), 1))
     with pytest.raises(ValueError):
         conj_by_xi(QX_ONE, 3)
+    for e in (1.0, 0, 3):
+        with pytest.raises(ValueError, match="integer" if e == 1.0 else "1 or 2"):
+            conj_by_xi(QX_ONE, e)
+        with pytest.raises(ValueError, match="integer" if e == 1.0 else "1 or 2"):
+            qx.conj_by_xi_vec(v, e)
+    assert np.array_equal(qx.conj_by_xi_vec(v, np.int64(2)), qx.conj_by_xi_vec(v, 2))
 
 
 def test_xi_three_cycle_on_grey_frame():
@@ -206,8 +213,10 @@ def test_xi24_matrix():
     assert np.allclose(np.linalg.matrix_power(M1, 3), np.eye(24))
     assert np.allclose(M1 @ M1, M2)
     assert np.allclose(M1[0, :4], [-0.5] * 4)
-    with pytest.raises(ValueError):
-        qx.xi24_matrix(0)
+    for e in (0, 3, 1.0):
+        for f in (qx.xi24_matrix, qx.xi24_matrix_num):
+            with pytest.raises(ValueError, match="integer" if e == 1.0 else "1 or 2"):
+                f(e)
 
 
 def test_xi24_grey_frame_cycle():
@@ -263,3 +272,45 @@ def test_min_type(rng):
     for v in rng.ints(300, 1 << 24):
         lam = qx.LeechMod2(int(v))
         assert qx.min_type(lam) % 2 == qx.type_mod2(lam)
+
+
+@pytest.mark.parametrize("cls, args", [
+    (ParkerLoopElement, (1.5,)),
+    (ParkerLoopElement, (8192,)),
+    (GolayCodeword, (2.0,)),
+    (CocodeElement, (3.5,)),
+    (QxElement, (1.5,)),
+    (aut_pl.Perm24, (tuple(float(i) for i in range(24)),)),
+    (HexacodeWord, ((0, 0, 0, 0, 0, 2.0),)),
+    (Basis4096Index, (0, 0, 1.5, 0)),
+    (Basis4096Index, (0, 2, 0, 0)),
+    (ShortVectorIndex, ("T", 759, 0)),
+    (ShortVectorIndex, ("T", 0, 64)),
+    (ShortVectorIndex, ("B", 5, 5)),
+    (ShortVectorIndex, ("C", 3, 3)),
+    (ShortVectorIndex, ("B", 0, 24)),
+    (ShortVectorIndex, ("X", 2048, 0)),
+    (ShortVectorIndex, ("X", 0, 24)),
+    (ShortVectorIndex, ("X", -1, 0)),
+    (ShortVectorIndex, ("X", 0, 1.0)),
+    (ShortVectorIndex, ("Q", 0, 1)),
+    (ShortVectorIndex, (None, 0, 1)),
+])
+def test_value_types_reject_what_they_cannot_hold(cls, args):
+    """Integer fields are read exactly and checked against their range,
+    so a bad field fails at construction, not later in a lookup."""
+    with pytest.raises(ValueError):
+        cls(*args)
+
+
+def test_value_types_read_numpy_integers_as_int():
+    i = np.int64(5)
+    for x, field in ((ParkerLoopElement(i), "value"), (GolayCodeword(i), "coords"),
+                     (CocodeElement(i), "coords"), (QxElement(i), "value"),
+                     (ShortVectorIndex("B", np.uint8(1), i), "b"),
+                     (Basis4096Index(0, 1, np.int8(3), i), "h")):
+        assert type(getattr(x, field)) is int
+    perm = aut_pl.Perm24(tuple(np.arange(24)))
+    assert perm == aut_pl.IDENTITY_PERM and perm.is_identity()
+    assert HexacodeWord(list(np.array(golay.HEXACODE_GENS[0]))).is_in_hexacode()
+    assert from_short_index(ShortVectorIndex("B", 1, 0)) == from_short_index(ShortVectorIndex("B", 0, 1))
