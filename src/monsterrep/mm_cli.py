@@ -177,11 +177,12 @@ def cmd_bench(args) -> int:
         v = mm_rep.rand(p, 99)
         print(f"p = {p}")
         for name, at in atoms:
-            mm_rep.apply_atom(v, at)             # warm up the table caches
+            for _ in range(2):                   # a table is cached on its second use
+                mm_rep.apply_atom(v, at)
             mean, best = verify.time_ms(lambda: mm_rep.apply_atom(v, at), reps)
             print(f"  {name:9s} mean {mean:7.2f} ms   min {best:7.2f} ms")
-        mm_rep.apply_word(v, word)               # builds the monomial run's table
-        mm_rep.apply_word(v, word)               # fuses it into xi's tables
+        mm_rep.apply_word(v, word)               # caches the monomial run's key
+        mm_rep.apply_word(v, word)               # fuses the run into xi's tables
         mean, best = verify.time_ms(lambda: mm_rep.apply_word(v, word), reps)
         paper = PAPER_GX0_XI_MS.get(p)
         ratio = f"  ({best / paper:.2f}x the paper's {paper} ms)" if paper else ""

@@ -26,12 +26,13 @@ Generator words act through four kernel families:
   (read from ``aut_pl``'s code image table) and adds the signs of the
   quadratic form and the diagonal part per atom; ``apply_word`` composes
   each maximal run of them into one signed permutation of the whole
-  vector, cached on the run in pull form (head, row and column sources
-  and a sign mask in source order) and applied as one XOR and three
-  takes; a run followed by the extra generator that ``apply_word`` has
-  seen before is instead read through that generator's tables, composed
-  with the run's into one fused cache entry, so y x_pi x nu_delta xi^e
-  takes three gathers;
+  vector in pull form (head, row and column sources and a sign mask in
+  source order), applied as one XOR and three takes and cached on the
+  run once the run comes back (its first sighting caches only its key);
+  a run followed by the extra generator that ``apply_word`` has seen
+  before is instead read through that generator's tables, composed with
+  the run's into one fused cache entry, so y x_pi x nu_delta xi^e takes
+  three gathers;
 * the triality generator mixes (A_ij, B_ij, C_ij) by a 3x3 matrix with
   halving, rotates X -> Y -> Z -> X with sign masks, and applies H_64 / 8
   (``modp_core.hadamard_words``: six exact int16 butterfly layers, then
@@ -523,22 +524,24 @@ def _read_through(f: _Pull, reads) -> tuple:
 
 def _monomial_gather(p: int, at):
     """Pull form mod p of a monomial atom or of a MonomialRun; a run of
-    one atom shares its atom's cache entry.  For a run fused with xi^e it
-    is xi's A, B/C/T/X and Z/Y forward tables (``_xi_reads``) read through
-    the run's pull form, which this pops from the cache: the fused entry
-    takes its place."""
+    one atom shares its atom's cache entry.  A plain run's first sighting
+    caches only its key (value None); its table is kept from the second
+    on.  For a run fused with xi^e it is xi's A, B/C/T/X and Z/Y forward
+    tables (``_xi_reads``) read through the run's pull form, and the fused
+    entry takes the place of the run's key, which this pops."""
     key = (p, at.key())
     hit = _MONO_CACHE.get(key)
     if hit is not None:
         return hit
     run = at if isinstance(at, MonomialRun) else MonomialRun((at,))
-    f = _MONO_CACHE.pop((p, MonomialRun(run.atoms).key()), None) if run.xi else None
-    if f is None:
-        f = _pull(p, reduce(_compose, map(_atom_maps, run.atoms)))
+    keep = run.xi or key in _MONO_CACHE
+    if run.xi:
+        _MONO_CACHE.pop((p, MonomialRun(run.atoms).key()), None)
+    f = _pull(p, reduce(_compose, map(_atom_maps, run.atoms)))
     table = _read_through(f, _xi_reads(p, run.xi)) if run.xi else f
     if len(_MONO_CACHE) > 128:
         _MONO_CACHE.clear()
-    _MONO_CACHE[key] = table
+    _MONO_CACHE[key] = table if keep else None
     return table
 
 
@@ -802,7 +805,8 @@ def apply_pi(v: MmVector, pi: StdAutomorphism) -> MmVector:
 
 
 def _seen(p: int, run: tuple, e: int) -> bool:
-    """Whether the run's table, plain or fused with xi^e, is cached."""
+    """Whether the run, plain or fused with xi^e, was seen before: its
+    key is cached, with or without a table."""
     return ((p, MonomialRun(run).key()) in _MONO_CACHE
             or (p, MonomialRun(run, e).key()) in _MONO_CACHE)
 
@@ -817,7 +821,8 @@ def apply_word(v: MmVector, word) -> MmVector:
     that was seen before is fused into xi's tables, so the two take three
     gathers, not four.  A run seen once is applied as its own gather:
     fusing costs more than the gather it saves, so it pays only when the
-    run comes back."""
+    run comes back.  Likewise a plain run's first sighting caches only
+    its key, and its table is cached from the second sighting on."""
     run = ()
     for at in word:
         if at.tag in _MONOMIAL_TAGS:

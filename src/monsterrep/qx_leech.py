@@ -115,6 +115,11 @@ class LeechMod2:
     """24-bit value: code<<12 | cocode (polarized class of an element)."""
     value: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "value", golay.exact_int(self.value, "Leech vector mod 2"))
+        if not 0 <= self.value < 1 << 24:
+            raise ValueError("Leech vector mod 2 must fit in 24 bits")
+
     @property
     def code(self) -> int:
         return self.value >> 12
@@ -268,7 +273,16 @@ class ShortVectorIndex:
         return OFF_X + 24 * self.a + self.b
 
 
+def _exact_flat(flat) -> int:
+    """A flat short vector index read exactly and checked: 0..N_SHORT-1."""
+    flat = golay.exact_int(flat, "short vector index")
+    if not 0 <= flat < N_SHORT:
+        raise ValueError(f"no short vector {flat}")
+    return flat
+
+
 def index_from_flat(flat: int) -> ShortVectorIndex:
+    flat = _exact_flat(flat)
     if flat < OFF_C:
         return ShortVectorIndex("B", int(_PAIR_I[flat]), int(_PAIR_J[flat]))
     if flat < OFF_T:
@@ -307,7 +321,7 @@ SHORT_VALUES = _build_canonical_shorts()      # canonical (sign 0) elements
 
 
 def from_short_index(idx) -> QxElement:
-    flat = idx.flat if isinstance(idx, ShortVectorIndex) else int(idx)
+    flat = idx.flat if isinstance(idx, ShortVectorIndex) else _exact_flat(idx)
     return QxElement(int(SHORT_VALUES[flat]))
 
 

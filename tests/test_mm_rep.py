@@ -658,6 +658,22 @@ def test_fused_table_replaces_run_table(rng):
     assert list(mr._MONO_CACHE) == [(31, mr.MonomialRun(run, 1).key())]
 
 
+def test_once_seen_runs_store_no_table(rng):
+    """A plain run seen once leaves only its key in the cache; the run's
+    second sighting stores its pull form."""
+    mr._MONO_CACHE.clear()
+    v = mr.rand(15, 92)
+    words = [[A("x", rng.int(1 << 13)), A("p", aut_pl.random_automorphism(rng)),
+              A("d", rng.int(1 << 12)), A("t", 1)] for _ in range(20)]
+    for word in words:
+        mr.apply_word(v, word)
+    keys = [(15, mr.MonomialRun(tuple(word[:3])).key()) for word in words]
+    assert list(mr._MONO_CACHE) == keys
+    assert all(table is None for table in mr._MONO_CACHE.values())
+    mr.apply_word(v, words[7])
+    assert isinstance(mr._MONO_CACHE[keys[7]], mr._Pull)
+
+
 def _mono_table(p, maps):
     """Oracle: the pull table mod p of a monomial map over the whole
     vector, an int32 source index and a sign mask per destination.  The

@@ -295,6 +295,14 @@ def test_min_type(rng):
     (ShortVectorIndex, ("X", 0, 1.0)),
     (ShortVectorIndex, ("Q", 0, 1)),
     (ShortVectorIndex, (None, 0, 1)),
+    (from_short_index, (1.5,)),
+    (from_short_index, (-1,)),
+    (from_short_index, (qx.N_SHORT,)),
+    (qx.index_from_flat, (-1,)),
+    (qx.index_from_flat, (qx.N_SHORT,)),
+    (qx.LeechMod2, (-1,)),
+    (qx.LeechMod2, (1 << 24,)),
+    (qx.LeechMod2, (1.5,)),
 ])
 def test_value_types_reject_what_they_cannot_hold(cls, args):
     """Integer fields are read exactly and checked against their range,
@@ -308,9 +316,11 @@ def test_value_types_read_numpy_integers_as_int():
     for x, field in ((ParkerLoopElement(i), "value"), (GolayCodeword(i), "coords"),
                      (CocodeElement(i), "coords"), (QxElement(i), "value"),
                      (ShortVectorIndex("B", np.uint8(1), i), "b"),
-                     (Basis4096Index(0, 1, np.int8(3), i), "h")):
+                     (Basis4096Index(0, 1, np.int8(3), i), "h"), (qx.LeechMod2(i), "value")):
         assert type(getattr(x, field)) is int
     perm = aut_pl.Perm24(tuple(np.arange(24)))
     assert perm == aut_pl.IDENTITY_PERM and perm.is_identity()
     assert HexacodeWord(list(np.array(golay.HEXACODE_GENS[0]))).is_in_hexacode()
     assert from_short_index(ShortVectorIndex("B", 1, 0)) == from_short_index(ShortVectorIndex("B", 0, 1))
+    assert from_short_index(np.int64(1)) == from_short_index(1)
+    assert qx.index_from_flat(np.uint32(1000)) == qx.index_from_flat(1000)
