@@ -243,6 +243,13 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {n}")
+    return n
+
+
 @lru_cache(maxsize=1)
 def build_parser():
     """The argument parser, built once per process and shared by every
@@ -256,7 +263,7 @@ def build_parser():
     vp.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
     vp.add_argument("--p", type=int, choices=ALLOWED_P, default=None)
     vp.add_argument("--seed", type=int, default=1)
-    vp.add_argument("--samples", type=int, default=None,
+    vp.add_argument("--samples", type=_nonnegative_int, default=None,
                     help="sample count for randomized checks (0 = exhaustive only)")
     vp.add_argument("--json", metavar="PATH", default=None,
                     help="also write the reports (suite, seconds, checks) as JSON")

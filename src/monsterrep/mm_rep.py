@@ -38,11 +38,12 @@ Generator words act through four kernel families:
   (``modp_core.hadamard_words``: six exact int16 butterfly layers, then
   the division by 8 and the reduction mod p as one table lookup) to the
   64 suboctads of each octad of T;
-* the extra generator acts monomially on B/C/T/X through conjugation in
-  the extraspecial group, by 4x4 column blocks on A, and on Z/Y by
-  H_16 (x) H_4 = H_64 / 8, the same kernel, between two signed gathers
-  into and out of a grey-frame tensor; its tables share intp source
-  indices across the moduli;
+* the extra generator reads its input as one signed permutation, split
+  at Z into two gathers: A to itself, B/C/T/X through conjugation in the
+  extraspecial group, and Z/Y into a grey-frame tensor in Z/Y's own
+  place; it then acts by 4x4 column blocks on A, and on Z/Y by
+  H_16 (x) H_4 = H_64 / 8, the same kernel, and a signed gather back out
+  of the tensor; its tables share intp source indices across the moduli;
 * everything else is composition.
 """
 
@@ -526,9 +527,9 @@ def _monomial_gather(p: int, at):
     """Pull form mod p of a monomial atom or of a MonomialRun; a run of
     one atom shares its atom's cache entry.  A plain run's first sighting
     caches only its key (value None); its table is kept from the second
-    on.  For a run fused with xi^e it is xi's A, B/C/T/X and Z/Y forward
-    tables (``_xi_reads``) read through the run's pull form, and the fused
-    entry takes the place of the run's key, which this pops."""
+    on.  For a run fused with xi^e it is the two tables through which xi
+    reads its input (``_xi_tables``) read through the run's pull form, and
+    the fused entry takes the place of the run's key, which this pops."""
     key = (p, at.key())
     hit = _MONO_CACHE.get(key)
     if hit is not None:
@@ -538,7 +539,7 @@ def _monomial_gather(p: int, at):
     if run.xi:
         _MONO_CACHE.pop((p, MonomialRun(run.atoms).key()), None)
     f = _pull(p, reduce(_compose, map(_atom_maps, run.atoms)))
-    table = _read_through(f, _xi_reads(p, run.xi)) if run.xi else f
+    table = _read_through(f, _xi_tables(p, run.xi)[:2]) if run.xi else f
     if len(_MONO_CACHE) > 128:
         _MONO_CACHE.clear()
     _MONO_CACHE[key] = table if keep else None
@@ -716,16 +717,17 @@ def _grey_frame():
 @lru_cache(maxsize=2)
 def _xi_maps(e: int):
     """The pull maps of xi^e as (source index, sign bit), free of the
-    modulus: B/C/T/X, where short vector n is coordinate 300 + n and xi^e
-    maps it to +-short vector idx[n]; Z/Y into the grey-frame tensor with
-    the pre-signs; and the transformed tensor back to Z/Y through the row
-    permutation, with the post-signs."""
+    modulus: the coordinates below Z, where A reads itself and short
+    vector n is coordinate 300 + n, which xi^e maps to +-short vector
+    idx[n]; Z/Y into the grey-frame tensor with the pre-signs; and the
+    transformed tensor back to Z/Y through the row permutation, with the
+    post-signs.  The first two together read every coordinate once."""
     idx, sgn, ok = qx_leech.short_index_vec(qx_leech.conj_by_xi_vec(SHORT_VALUES, e))
     assert ok.all()
     pos, coord, sign = _grey_frame()
     pre, perm, post = _xi_zy_steps(e)
     row = pos // 1536
-    return (pull_map(idx, _B + np.arange(len(idx)), sgn),
+    return (pull_map(np.r_[:_B, _B + idx], np.arange(_Z), np.r_[np.zeros(_B, int), sgn]),
             pull_map(pos, coord, sign ^ pre[row]),
             pull_map(coord - _Z, perm[pos // 384] * 384 + pos % 384, sign ^ post[row]))
 
@@ -740,20 +742,11 @@ def _xi24(e: int):
 
 @lru_cache(maxsize=16)
 def _xi_tables(p: int, e: int):
-    """Pull tables of xi^e mod p for B/C/T/X, Z/Y forward and Z/Y back:
-    every modulus shares the (intp) source indices and scales the sign
-    bits."""
+    """Pull tables of xi^e mod p: below Z, Z/Y forward and Z/Y back.  The
+    first two read the input, so a fused step reads through these
+    composed with its run's; every modulus shares the (intp) source
+    indices and scales the sign bits."""
     return tuple(GatherTable(src, bits * p) for src, bits in _xi_maps(e))
-
-
-# xi reads its A block, entry (i, j) at _A_IDX[i, j], through a table too
-_XI_A = GatherTable(_A_IDX.ravel(), np.zeros(576, dtype=np.uint8))
-
-
-def _xi_reads(p: int, e: int):
-    """The tables through which xi^e reads its input: A, B/C/T/X and Z/Y
-    forward.  A fused step reads through these composed with its run's."""
-    return (_XI_A,) + _xi_tables(p, e)[:2]
 
 
 def apply_xi(v: MmVector, e: int, *, run: tuple = ()) -> MmVector:
@@ -762,23 +755,23 @@ def apply_xi(v: MmVector, e: int, *, run: tuple = ()) -> MmVector:
     e = qx_leech.exponent(e)
     p, m, lay = v.p, v.mod, layout(v.p)
     out = MmVector(m, np.empty_like(v.buf))
-    a, short, fwd = (_monomial_gather(p, MonomialRun(run, e)) if run
-                     else _xi_reads(p, e))
-    back = _xi_tables(p, e)[2]
+    low, fwd, back = _xi_tables(p, e)
+    if run:
+        low, fwd = _monomial_gather(p, MonomialRun(run, e))
+
+    # one signed permutation of the input: A to itself, B/C/T/X from
+    # conjugation in the extraspecial group, and Z/Y into the grey-frame
+    # tensor, which sits in Z/Y's own place
+    gather_signed(out.buf[:_Z], v.buf, low)
+    gather_signed(out.buf[_Z:], v.buf, fwd)
 
     # A: congruence with the block-diagonal 24x24 matrix, exact integers
-    A = lay.extract(v.buf, a.src)
-    A[a.neg != 0] *= -1
     M = _xi24(e)
-    lay.inject(out.buf, _A_IDX, (M.T @ A.reshape(24, 24) @ M) * pow(4, -1, p) % p)
+    A = lay.extract(out.buf, _A_IDX)
+    lay.inject(out.buf, _A_IDX, (M.T @ A @ M) * pow(4, -1, p) % p)
 
-    # B/C/T/X: signed permutation from conjugation in the extraspecial group
-    gather_signed(out.buf[_B:_Z], v.buf, short)
-
-    # Z/Y: into the grey-frame tensor, H_64 / 8, and back
-    tmp = np.empty(64 * 1536, dtype=np.uint8)
-    gather_signed(tmp, v.buf, fwd)
-    tmp = modp_core.hadamard_words(tmp.reshape(64, 1536).astype(np.uint16), m)
+    # Z/Y: H_64 / 8 on the tensor, and back
+    tmp = modp_core.hadamard_words(out.buf[_Z:].reshape(64, 1536).astype(np.uint16), m)
     gather_signed(out.buf[_Z:], tmp.ravel(), back)
     return out
 

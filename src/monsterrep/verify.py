@@ -754,6 +754,8 @@ SUITES = {
 
 
 def run_suite(name, seed=1, samples=None, p=None):
+    if samples is not None and samples < 0:
+        raise ValueError(f"samples must be non-negative, not {samples}")
     if name == "all":
         return [SUITES[s](seed=seed, samples=samples, p=p) for s in SUITES]
     if name not in SUITES:

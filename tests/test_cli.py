@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monsterrep import mm_cli, mm_rep
+from monsterrep import mm_cli, mm_rep, verify
 from monsterrep.modp_core import ALLOWED_P
 
 
@@ -232,6 +232,22 @@ def test_bench_rejects_nonpositive_reps(reps, capsys):
     err = capsys.readouterr().err
     assert "argument --reps: must be a positive integer" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["loop", "--samples", "-1"],
+                                  ["rep-norm", "--p", "3", "--samples", "-2"]])
+def test_verify_rejects_negative_samples(argv, capsys):
+    """A negative sample count is a usage error (exit code 2), not an
+    OverflowError traceback or a run that checks nothing; library callers
+    of run_suite get a ValueError."""
+    with pytest.raises(SystemExit) as exc:
+        mm_cli.main(["verify"] + argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --samples: must be a non-negative integer" in err
+    assert "Traceback" not in err
+    with pytest.raises(ValueError, match="non-negative"):
+        verify.run_suite("rep-norm", samples=-2, p=3)
 
 
 def test_bench_rejects_unknown_word_class(capsys):

@@ -728,8 +728,10 @@ def test_monomial_tables_are_signed_permutations(p, rng):
     """The maps and the pull table of every monomial tag, and of a
     composed run of all of them, are signed permutations: the table of
     all coordinates, with a sign mask of 0 or p.  The run's tables fused
-    with xi^e read the sources of xi's A, B/C/T/X and Z/Y forward tables
-    in some order, with such a mask."""
+    with xi^e read the sources of xi's tables below Z and Z/Y forward in
+    some order, with such a mask.  Those two tables, and the two fused
+    ones, are each a signed permutation of the whole vector, and xi's
+    table below Z reads A as the identity with sign 0."""
     atoms = [_random_atom(rng, tag) for tag in "xyzdp" for _ in range(2)]
     for at in atoms:
         _check_maps(mr._atom_maps(at))
@@ -740,9 +742,16 @@ def test_monomial_tables_are_signed_permutations(p, rng):
         assert set(np.unique(tab.neg).tolist()) <= {0, p}
     for e in (1, 2):
         fused = mr._monomial_gather(p, mr.MonomialRun(tuple(atoms), e))
-        for tab, xi_tab in zip(fused, mr._xi_reads(p, e), strict=True):
+        for tab, xi_tab in zip(fused, mr._xi_tables(p, e)[:2], strict=True):
             assert np.array_equal(np.sort(tab.src), np.sort(xi_tab.src))
             assert set(np.unique(tab.neg).tolist()) <= {0, p}
+        for tabs in (mr._xi_tables(p, e)[:2], fused):
+            src = np.concatenate([t.src for t in tabs])
+            assert np.array_equal(np.sort(src), np.arange(mr.DIM))
+            assert all(set(np.unique(t.neg).tolist()) <= {0, p} for t in tabs)
+        low = mr._xi_tables(p, e)[0]
+        assert np.array_equal(low.src[:mr._B], np.arange(mr._B))
+        assert not low.neg[:mr._B].any()
 
 
 @pytest.mark.parametrize("p", ALL_P)
@@ -778,7 +787,7 @@ def test_pull_form_equals_table_oracle(p, tags, seed):
     assert mr._apply_monomial(v, mr.MonomialRun(run)).buf.tobytes() == want.tobytes()
     for e in (1, 2):
         fused = mr._monomial_gather(p, mr.MonomialRun(run, e))
-        for got, t in zip(fused, mr._xi_reads(p, e), strict=True):
+        for got, t in zip(fused, mr._xi_tables(p, e)[:2], strict=True):
             oracle = _table_read_through(table, t)
             for a, b in ((got.src, oracle.src), (got.neg, oracle.neg)):
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
