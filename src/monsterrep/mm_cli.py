@@ -15,6 +15,7 @@ Example: ``monsterrep apply --in v.mmv --word 'x1a3*t1*l2' --out w.mmv``.
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from functools import lru_cache
 
@@ -26,28 +27,36 @@ from .parker_loop import THETA
 
 
 def parse_word(text: str):
+    """The atoms of a word in the grammar above.  Payloads are ASCII hex
+    digits after x/y/z/d, and decimal numbers without a leading zero
+    after t/l and in p[...]; whitespace may stand only around an atom.
+    An error names the atom's offset in text."""
+    def number(body, base):
+        digits = "[0-9a-fA-F]+" if base == 16 else "0|[1-9][0-9]*"
+        if not re.fullmatch(digits, body):
+            raise ValueError(f"{body!r} is not a base-{base} number")
+        return int(body, base)
+
     atoms = []
-    pos = 0
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return atoms
-    for part in text.split("*"):
-        part = part.strip()
+    end = 0
+    for raw in text.split("*"):
+        pos, end = end + len(raw) - len(raw.lstrip()), end + len(raw) + 1
+        part = raw.strip()
         if not part:
             raise ValueError(f"empty atom at position {pos} in {text!r}")
         tag = part[0]
         body = part[1:]
         try:
-            if tag in "xyz":
-                atoms.append(mm_rep.GeneratorAtom(tag, int(body, 16)))
-            elif tag == "d":
-                atoms.append(mm_rep.GeneratorAtom("d", int(body, 16)))
+            if tag in "xyzd":
+                atoms.append(mm_rep.GeneratorAtom(tag, number(body, 16)))
             elif tag in "tl":
-                atoms.append(mm_rep.GeneratorAtom(tag, int(body)))
+                atoms.append(mm_rep.GeneratorAtom(tag, number(body, 10)))
             elif tag == "p":
                 if not (body.startswith("[") and body.endswith("]")):
                     raise ValueError("permutation atom needs p[i0,...,i23]")
-                images = tuple(int(s) for s in body[1:-1].split(","))
+                images = tuple(number(s, 10) for s in body[1:-1].split(","))
                 try:
                     pi = aut_pl.from_perm(Perm24(images))
                 except NotInM24Error:
@@ -58,7 +67,6 @@ def parse_word(text: str):
                 raise ValueError(f"unknown atom tag {tag!r}")
         except ValueError as exc:
             raise ValueError(f"bad atom {part!r} at position {pos}: {exc}") from None
-        pos += len(part) + 1
     return atoms
 
 

@@ -43,7 +43,9 @@ Generator words act through four kernel families:
   extraspecial group, and Z/Y into a grey-frame tensor in Z/Y's own
   place; it then acts by 4x4 column blocks on A, and on Z/Y by
   H_16 (x) H_4 = H_64 / 8, the same kernel, and a signed gather back out
-  of the tensor; its tables share intp source indices across the moduli;
+  of the tensor; both Z/Y maps are a map of the 4096 storage rows plus
+  one map of the 24 columns, and its tables share intp source indices
+  across the moduli;
 * everything else is composition.
 """
 
@@ -667,51 +669,11 @@ _W2_5 = np.array([golay.W2_TABLE[int(b)] for b in
 # XI4_NUM = (D P H_4, H_4 P D) with D = diag(-1, 1, 1, 1) and P the swap
 # of indices 1 and 2, which commutes with H_4.  So xi^e on Z/Y is
 # H_16 (x) H_4 = H_64 on axis (dG, i % 4) between signed row permutations.
+# Each of its two Z/Y maps is a map of the 4096 storage rows plus one map
+# of the 24 columns, added; each sign bit is a row bit XOR a column bit.
 _PAR4 = (np.bitwise_count(np.arange(16, dtype=np.uint64)) & 1).astype(np.int64)
 _REIDX16 = np.arange(16) ^ (_PAR4 * 15)
 _SWAP12 = np.array([0, 2, 1, 3])
-
-
-def _xi_group_map(e: int):
-    out = np.zeros(4, dtype=np.int64)
-    for g in range(4):
-        sig, kap = g >> 1, g & 1
-        if e == 1:
-            sig2, kap2 = (kap ^ sig ^ 1), sig
-        else:
-            sig2, kap2 = kap, (kap ^ sig ^ 1)
-        out[g] = sig2 << 1 | kap2
-    return out
-
-
-def _xi_zy_steps(e: int):
-    """Sign bits before and after the H_64 / 8 of xi^e on the grey-frame
-    tensor, for its (64, ...) view with axis 0 = dG * 4 + i % 4, and the
-    row permutation in between, for its (256, ...) view with axis 0 =
-    (dG, i % 4, group)."""
-    dg, j = np.divmod(np.arange(64), 4)
-    if e == 1:      # D first; then (-1)^(w2(dG) + 1)
-        pre, post = j == 0, _W2_5[dg] == 0
-    else:           # (-1)^w2(dG) first; then -D
-        pre, post = _W2_5[dg] == 1, j != 0
-    perm = (_REIDX16[:, None, None] * 16 + _SWAP12[:, None] * 4
-            + np.argsort(_xi_group_map(e))).ravel()
-    return pre.astype(np.int64), perm, post.astype(np.int64)
-
-
-def _grey_frame():
-    """Per grey-frame basis vector (group, dG, i, h): its position in the
-    (64, 1536) tensor, whose rows are dG * 4 + i % 4 and columns (group,
-    i // 4, h), its Z/Y coordinate, and the sign between the two."""
-    g = np.arange(4)[:, None, None, None]
-    dg = np.arange(16)[None, :, None, None]
-    i = np.arange(24)[None, None, :, None]
-    h = np.arange(64)[None, None, None, :]
-    sig, kap = g >> 1, g & 1
-    c0, b = _canon(kap | (_D16_PAT[dg] << 1) | (h << 6))
-    pos = (dg * 4 + i % 4) * 1536 + g * 384 + (i // 4) * 64 + h
-    coord = np.where(sig == 0, _Z, _Y) + 24 * coords_to_class(c0) + i
-    return [x.ravel() for x in np.broadcast_arrays(pos, coord, sig * b)]
 
 
 @lru_cache(maxsize=2)
@@ -720,16 +682,33 @@ def _xi_maps(e: int):
     modulus: the coordinates below Z, where A reads itself and short
     vector n is coordinate 300 + n, which xi^e maps to +-short vector
     idx[n]; Z/Y into the grey-frame tensor with the pre-signs; and the
-    transformed tensor back to Z/Y through the row permutation, with the
-    post-signs.  The first two together read every coordinate once."""
+    transformed tensor back to Z/Y with the post-signs.  The first two
+    together read every coordinate once."""
     idx, sgn, ok = qx_leech.short_index_vec(qx_leech.conj_by_xi_vec(SHORT_VALUES, e))
     assert ok.all()
-    pos, coord, sign = _grey_frame()
-    pre, perm, post = _xi_zy_steps(e)
-    row = pos // 1536
+    # Z/Y storage row r = 2048 sigma + chi holds grey-frame row (group, dG,
+    # h) up to the sign sigma * flip, read as in basis4096_from_storage;
+    # column i holds the points (i % 4, i // 4).  The tensor is (64, 1536):
+    # row dG * 4 + i % 4, column (group, i // 4, h).
+    r, i = np.arange(4096)[:, None], np.arange(24)
+    sig, c0 = r >> 11, _CLASS_COORDS[r & 2047]
+    flip = np.bitwise_count(c0 & 0x3E) & 1
+    group = 2 * sig + ((c0 & 1) ^ flip)
+    dg, h = ((c0 >> 1) ^ 31 * flip) & 15, c0 >> 6
+    # xi^e maps group (sigma, kappa) to (kappa + sigma + 1, sigma) for
+    # e = 1 and to (kappa, kappa + sigma + 1) for e = 2; src_group inverts it
+    if e == 1:      # D first; then (-1)^(w2(dG) + 1)
+        src_group, pre, post = np.array([1, 2, 0, 3]), i % 4 == 0, _W2_5[dg] == 0
+    else:           # (-1)^w2(dG) first; then -D
+        src_group, pre, post = np.array([2, 0, 1, 3]), _W2_5[dg] == 1, i % 4 != 0
+    fwd = 6144 * dg + 384 * group + h + (1536 * (i % 4) + 64 * (i // 4))
+    back = (6144 * _REIDX16[dg] + 384 * src_group[group] + h
+            + (1536 * _SWAP12[i % 4] + 64 * (i // 4)))
+    fwd, back, pre, post = (x.ravel() for x in np.broadcast_arrays(
+        fwd, back, sig * flip ^ pre, sig * flip ^ post))
     return (pull_map(np.r_[:_B, _B + idx], np.arange(_Z), np.r_[np.zeros(_B, int), sgn]),
-            pull_map(pos, coord, sign ^ pre[row]),
-            pull_map(coord - _Z, perm[pos // 384] * 384 + pos % 384, sign ^ post[row]))
+            pull_map(fwd, np.arange(_Z, DIM), pre),
+            pull_map(np.arange(DIM - _Z), back, post))
 
 
 @lru_cache(maxsize=2)
@@ -815,7 +794,11 @@ def apply_word(v: MmVector, word) -> MmVector:
     gathers, not four.  A run seen once is applied as its own gather:
     fusing costs more than the gather it saves, so it pays only when the
     run comes back.  Likewise a plain run's first sighting caches only
-    its key, and its table is cached from the second sighting on."""
+    its key, and its table is cached from the second sighting on.  The
+    result is a new vector, also for the empty word."""
+    word = tuple(word)
+    if not word:
+        return v.copy()
     run = ()
     for at in word:
         if at.tag in _MONOMIAL_TAGS:

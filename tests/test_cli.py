@@ -41,6 +41,23 @@ def test_parse_word_errors():
         mm_cli.parse_word("x1a3**y1")
 
 
+def test_parse_word_takes_only_its_grammar():
+    """Payloads are ASCII digits with no sign, space, underscore or
+    prefix, decimals have no leading zero, whitespace stands only around
+    atoms, and an error names the atom's offset in the original text."""
+    loose = ["x1_0", "x 1a3", "x+1a3", "x0x1a3", "t+1", "t01", "l\u0661", "d-0",
+             "p[" + ",".join(["+0"] + [str(i) for i in range(1, 24)]) + "]"]
+    for text in loose:
+        with pytest.raises(ValueError, match="at position 0:"):
+            mm_cli.parse_word(text)
+    with pytest.raises(ValueError, match="at position 5:"):
+        mm_cli.parse_word("x1 * q1")
+    with pytest.raises(ValueError, match="at position 9:"):
+        mm_cli.parse_word(" x1A3 *  t1_")
+    atoms = mm_cli.parse_word(" x1A3 *\tt2 ")
+    assert [(a.tag, a.payload) for a in atoms] == [("x", 0x1a3), ("t", 2)]
+
+
 def test_apply_command(tmp_path):
     v = mm_rep.rand(3, 11)
     src = tmp_path / "a.mmv"

@@ -251,6 +251,14 @@ def test_apply_word(rng):
     assert mr.apply_word(v, word) == v
 
 
+def test_apply_word_empty_word_returns_a_new_vector():
+    """Operators never change their input, so the empty word copies."""
+    v = mr.rand(7, 56)
+    w = mr.apply_word(v, [])
+    assert w is not v and w == v
+    assert not np.shares_memory(w.buf, v.buf)
+
+
 @pytest.mark.parametrize("p", ALL_P)
 def test_norm_invariance(p, rng):
     v = mr.rand(p, 60 + p)
@@ -329,7 +337,9 @@ def test_basis4096_index_roundtrip():
     i = np.arange(24)
     for e in (1, 2):
         _, fwd, _ = mr._xi_tables(p, e)
-        pre = mr._xi_zy_steps(e)[0]
+        # pre-sign: D for e = 1; (-1)^w2 of dG's even 5-bit pattern for e = 2
+        w2 = [golay.W2_TABLE[bin(d | (bin(d).count("1") & 1) << 4).count("1")] for d in range(16)]
+        pre = (np.arange(64) % 4 == 0 if e == 1 else np.repeat(w2, 4) == 1).astype(int)
         assert np.array_equal(np.sort(fwd.src), np.arange(zy, mr.DIM))
         src = np.asarray(fwd.src).reshape(16, 4, 4, 6, 64)     # (dG, i%4, group, i//4, h)
         neg = fwd.neg.reshape(16, 4, 4, 6, 64)
@@ -342,6 +352,24 @@ def test_basis4096_index_roundtrip():
                     assert np.array_equal(src[dg, i % 4, g, i // 4, h], want)
                     want_neg = (sign ^ pre[dg * 4 + i % 4]) * p
                     assert np.array_equal(neg[dg, i % 4, g, i // 4, h], want_neg)
+
+
+@pytest.mark.parametrize("e", (1, 2))
+def test_xi_zy_maps_split_into_rows_and_columns(e):
+    """xi's Z/Y maps move whole storage rows: read in storage order, the
+    forward destinations and the back sources are R[:, None] + C for a
+    4096-row map R and a 24-column map C, every sign bit is a row bit XOR
+    a column bit, and the forward destinations permute the tensor."""
+    (fwd_src, fwd_bits), (back_src, back_bits) = mr._xi_maps(e)[1:]
+    n = mr.DIM - mr._Z
+    assert np.array_equal(np.sort(fwd_src), np.arange(mr._Z, mr.DIM))
+    dst = np.empty(n, dtype=np.int64)
+    dst[fwd_src - mr._Z] = np.arange(n)
+    assert np.array_equal(np.sort(back_src), np.arange(n))
+    for idx, bits in ((dst, fwd_bits[dst]), (back_src, back_bits)):
+        idx, bits = idx.reshape(4096, 24), bits.reshape(4096, 24).astype(int)
+        assert (idx - idx[:, :1] == idx[0] - idx[0, 0]).all()
+        assert (bits == bits[:, :1] ^ bits[:1] ^ bits[0, 0]).all()
 
 
 def test_xi_tables_share_indices_across_moduli(monkeypatch):
